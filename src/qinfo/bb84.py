@@ -94,8 +94,8 @@ class ProtocolConfig:
     master_seed: int
 
     def __post_init__(self):
-        if self.n < 1 or self.delta < 0.0:
-            raise ValueError("need n >= 1 and delta >= 0")
+        if self.n < 1 or not 0.0 <= self.delta < math.inf:
+            raise ValueError("need n >= 1 and finite delta >= 0")
         if not 0 <= self.threshold < self.n:
             raise ValueError("threshold must satisfy 0 <= t < n")
         if self.code.logical_bits < 0 or self.code.t < 1:

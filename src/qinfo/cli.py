@@ -2,8 +2,8 @@
 
 Subcommands: entropy, qinfo, codes, compress, capacity, qkd.  Every stochastic
 command requires an explicit --seed and is bit-for-bit reproducible.  Exit
-codes: 0 on success (protocol aborts are data, not failures), 2 on usage or
-parse errors.
+codes: 0 on success (protocol aborts are data, not failures); every bad input
+exits 2 with one ``error:`` line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def cmd_codes(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    probs = tuple(json.loads(args.probs))
+    probs = tuple(formats.dist_from_json(json.loads(args.probs)).tolist())
     blocks = [int(x) for x in args.blocks.split(",")]
     lines = []
     if args.quantum:
@@ -122,7 +122,7 @@ def cmd_capacity(args) -> int:
 def _css_from_config(obj) -> codes.CssCode:
     if obj == "steane":
         return codes.steane_css()
-    if isinstance(obj, dict) and "c1" in obj and "c2" in obj:
+    if isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in ("c1", "c2")):
         with open(obj["c1"]) as fh:
             c1 = formats.code_from_text(fh.read())
         with open(obj["c2"]) as fh:
@@ -132,14 +132,21 @@ def _css_from_config(obj) -> codes.CssCode:
 
 
 def cmd_qkd(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     conf = _read_json(args.config)
+    if not isinstance(conf, dict) or not isinstance(conf.get("channel"), dict):
+        raise ValueError("qkd config must be a JSON object whose channel is an object")
     css = _css_from_config(conf.get("code", "steane"))
-    n = int(conf["n"])
-    threshold = int(conf.get("threshold", round(0.11 * n)))
+    try:
+        n = int(conf["n"])
+        threshold = int(conf.get("threshold", round(0.11 * n)))
+        delta, param = float(conf.get("delta", 1.0)), float(conf["channel"].get("param", 0.0))
+    except (TypeError, OverflowError):
+        raise ValueError("qkd config n, threshold, delta and param must be numbers") from None
     cfg = bb84.ProtocolConfig(
-        n=n, delta=float(conf.get("delta", 1.0)), threshold=threshold,
-        code=css, master_seed=args.seed)
-    ch = bb84.ChannelModel(conf["channel"]["kind"], float(conf["channel"].get("param", 0.0)))
+        n=n, delta=delta, threshold=threshold, code=css, master_seed=args.seed)
+    ch = bb84.ChannelModel(conf["channel"]["kind"], param)
     transcripts = bb84.run_batch(cfg, ch, args.trials)
 
     lines = ["trial,aborted,sifted_count,qber,key_len,keys_match"]
@@ -219,7 +226,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError, capacity.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,10 +2,10 @@
 
 Matrices travel as JSON ``{"dim": d, "re": [...], "im": [...]}`` with entries
 row major; distributions as plain JSON arrays; channels as
-``{"rows": [[...]]}``.  Linear codes use a small text format: first line
-"n k", then k generator columns as n-character 0/1 strings, optionally
-followed by a line "H" and n-k parity rows.  CSV output is locale free with
-12 significant digits.
+``{"rows": [[...]]}``; their readers raise ValueError on any other shape.
+Linear codes use a small text format: first line "n k", then k generator
+columns as n-character 0/1 strings, optionally followed by a line "H" and n-k
+parity rows.  CSV output is locale free with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -32,21 +32,35 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _floats(obj, what: str) -> np.ndarray:
+    """Float array from a JSON array (possibly nested) of numbers."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a JSON array of numbers")
+    try:
+        return np.asarray(obj, dtype=float)
+    except TypeError:
+        raise ValueError(f"{what} must hold only numbers") from None
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    d = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros(d * d)), dtype=float)
+    if not isinstance(obj, dict) or not isinstance(obj.get("dim"), int):
+        raise ValueError("matrix must be a JSON object with an integer dim")
+    d = obj["dim"]
+    re = _floats(obj["re"], "matrix re")
+    im = _floats(obj["im"], "matrix im") if "im" in obj else np.zeros(d * d)
     if re.size != d * d or im.size != d * d:
         raise ValueError(f"matrix payload does not hold {d}x{d} entries")
     return (re + 1j * im).reshape(d, d)
 
 
 def dist_from_json(obj) -> np.ndarray:
-    return np.asarray(obj, dtype=float)
+    return _floats(obj, "distribution")
 
 
 def channel_from_json(obj: dict) -> np.ndarray:
-    return np.asarray(obj["rows"], dtype=float)
+    if not isinstance(obj, dict):
+        raise ValueError("channel must be a JSON object {rows: [[...]]}")
+    return _floats(obj["rows"], "channel rows")
 
 
 def code_to_text(code: LinearCode) -> str:

@@ -204,17 +204,6 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     return DensityMatrix(red)
 
 
-def partial_trace_mat(mat: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """partial_trace on a raw matrix (no DensityMatrix validation)."""
-    da, db = dims
-    t = np.asarray(mat, dtype=complex).reshape(da, db, da, db)
-    if keep == "A":
-        return np.trace(t, axis1=1, axis2=3)
-    if keep == "B":
-        return np.trace(t, axis1=0, axis2=2)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
 def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     """U rho U^dagger.  Trace and spectrum are preserved."""
     rho = as_density(rho)

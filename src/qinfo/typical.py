@@ -2,8 +2,9 @@
 
 A source emits i.i.d. symbols from a finite alphabet; a block of n symbols is
 epsilon-typical when its per-symbol surprisal sits within epsilon of the source
-entropy.  Everything here is exact at desk scale: sets are enumerated, masses
-are summed, and the quantum case is handled densely in the source eigenbasis
+entropy.  Everything here is exact at desk scale: one lexicographic table of
+the typicality and probability of every length-n sequence backs every set,
+mass, scheme and projector, the quantum ones densely in the source eigenbasis
 (ambient dimension capped at 256).  Asymptotic statements are therefore
 checked as monotone trends over small n, never as limits.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 
@@ -91,24 +92,34 @@ def is_typical(seq, model: SourceModel) -> bool:
     return abs(total / n - model.entropy) <= model.epsilon
 
 
-def typical_set(model: SourceModel) -> list[tuple[int, ...]]:
-    """Exact enumeration of the epsilon-typical set, in lexicographic order."""
+def _typical_table(model: SourceModel) -> tuple[np.ndarray, np.ndarray]:
+    """Typicality flag and probability of every length-n sequence, lexicographic.
+
+    Built one symbol at a time from the left, so each entry equals the scalar
+    loops of ``is_typical`` and ``sequence_prob`` bit for bit.
+    """
     n, a = model.block_length, model.alphabet_size
     if n * math.log2(a) > ENUMERATION_CAP_BITS:
         raise ValueError("typical set enumeration above the size cap")
     p = np.asarray(model.probs, dtype=float)
-    sur = [(-math.log2(x) if x > 0.0 else math.inf) for x in p]
-    h, eps = model.entropy, model.epsilon
-    out = []
-    for seq in product(range(a), repeat=n):
-        total = 0.0
-        for s in seq:
-            total += sur[s]
-            if total == math.inf:
-                break
-        if abs(total / n - h) <= eps:
-            out.append(seq)
-    return out
+    sur = np.array([(-math.log2(x) if x > 0.0 else math.inf) for x in p])
+    total, prob = np.zeros(1), np.ones(1)
+    for _ in range(n):
+        total = np.add.outer(total, sur).ravel()
+        prob = np.multiply.outer(prob, p).ravel()
+    mask = np.isfinite(total) & (np.abs(total / n - model.entropy) <= model.epsilon)
+    return mask, prob
+
+
+def _sequences(model: SourceModel, mask: np.ndarray) -> list[tuple[int, ...]]:
+    """The sequences flagged in a table-shaped mask, in lexicographic order."""
+    return list(compress(product(range(model.alphabet_size), repeat=model.block_length),
+                         mask.tolist()))
+
+
+def typical_set(model: SourceModel) -> list[tuple[int, ...]]:
+    """Exact enumeration of the epsilon-typical set, in lexicographic order."""
+    return _sequences(model, _typical_table(model)[0])
 
 
 def typical_set_mass(model: SourceModel) -> float:
@@ -155,17 +166,21 @@ class ShannonScheme:
         self.rate = rate
         self.index_bits = int(math.floor(rate * model.block_length))
         capacity = (1 << self.index_bits) - 1  # index 0 is reserved
-        seqs = typical_set(model)
-        if len(seqs) > capacity:
+        mask, prob = _typical_table(model)
+        size = int(mask.sum())
+        if size > capacity:
             if rate > model.entropy:
                 raise CapacityError(
-                    f"typical set ({len(seqs)}) exceeds {capacity} indices at rate {rate} > H")
-            # Undersized rate: keep the most probable typical sequences.
-            seqs = sorted(seqs, key=lambda s: (-sequence_prob(s, model.probs), s))[:capacity]
-            seqs.sort()
-        self.included = seqs
-        self._to_index = {seq: i + 1 for i, seq in enumerate(seqs)}
-        self.reliability = float(sum(sequence_prob(s, model.probs) for s in seqs))
+                    f"typical set ({size}) exceeds {capacity} indices at rate {rate} > H")
+            # Undersized rate: keep the most probable typical sequences, ties
+            # going to the lexicographically first.
+            typical = np.flatnonzero(mask)
+            kept = typical[np.argsort(-prob[typical], kind="stable")[:capacity]]
+            mask = np.zeros_like(mask)
+            mask[kept] = True
+        self.included = _sequences(model, mask)
+        self._to_index = {seq: i + 1 for i, seq in enumerate(self.included)}
+        self.reliability = sum(prob[mask].tolist())
 
     def compress(self, seq) -> int:
         return self._to_index.get(tuple(int(s) for s in seq), 0)
@@ -180,15 +195,15 @@ def shannon_scheme(model: SourceModel, rate: float) -> ShannonScheme:
     return ShannonScheme(model, rate)
 
 
-def _eigen_source(q: QuantumSourceModel) -> tuple[np.ndarray, np.ndarray, SourceModel]:
-    """Classical source over the eigenvalues of the single-copy state."""
+def _eigen_table(q: QuantumSourceModel) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Eigenvectors of the single-copy state and the typical table of its eigenvalues."""
     rho = as_density(q.rho)
     if rho.dim ** q.block_length > QUANTUM_DIM_CAP:
         raise ValueError("dense quantum block above the dimension cap")
     w, v = eig_hermitian(rho.mat)
     w = clamp_spectrum(w)
     w = w / w.sum()
-    return w, v, SourceModel(tuple(w), q.block_length, q.epsilon)
+    return v, _typical_table(SourceModel(tuple(w), q.block_length, q.epsilon))
 
 
 def typical_subspace_projector(q: QuantumSourceModel) -> np.ndarray:
@@ -198,17 +213,8 @@ def typical_subspace_projector(q: QuantumSourceModel) -> np.ndarray:
     set, so its rank equals the classical set size and tr(P rho^(x n)) equals
     the classical typical mass.
     """
-    w, v, cls = _eigen_source(q)
-    n = q.block_length
-    d = w.size
-    mask = np.zeros(d ** n, dtype=float)
-    sur = [(-math.log2(x) if x > 0.0 else math.inf) for x in w]
-    h = cls.entropy
-    for flat, seq in enumerate(product(range(d), repeat=n)):
-        total = sum(sur[s] for s in seq)
-        if total < math.inf and abs(total / n - h) <= q.epsilon:
-            mask[flat] = 1.0
-    vn = _kron_power(v, n)
+    v, (mask, _) = _eigen_table(q)
+    vn = _kron_power(v, q.block_length)
     return vn @ np.diag(mask.astype(complex)) @ dag(vn)
 
 
@@ -250,27 +256,17 @@ def schumacher_fidelity(q: QuantumSourceModel, max_rank: int | None = None) -> f
     of the orthocomplement.  ``max_rank`` optionally caps the kept subspace at
     the most probable eigenvector blocks, for rate-limited experiments.
     """
-    w, v, cls = _eigen_source(q)
-    n = q.block_length
-    d = w.size
-    sur = [(-math.log2(x) if x > 0.0 else math.inf) for x in w]
-    h = cls.entropy
-    tuples = list(product(range(d), repeat=n))
-    lam = np.array([math.prod(w[s] for s in seq) for seq in tuples])
-    surprisals = [sum(sur[s] for s in seq) for seq in tuples]
-    typ = np.array([t < math.inf and abs(t / n - h) <= q.epsilon for t in surprisals])
+    v, (typ, lam) = _eigen_table(q)
     if max_rank is not None:
         order = np.argsort(-lam, kind="stable")
-        typ = np.zeros(len(tuples), dtype=bool)
+        typ = np.zeros_like(typ)
         typ[order[:max_rank]] = True
 
     rho_n = block_state(q)
-    vn = _kron_power(v, n)
-    mask = typ.astype(complex)
-    p = vn @ np.diag(mask) @ dag(vn)
+    vn = _kron_power(v, q.block_length)
+    p = vn @ np.diag(typ.astype(complex)) @ dag(vn)
     fid = abs(np.trace(rho_n @ p)) ** 2
-    e0 = ket(0, d ** n)
-    rho_e0 = rho_n @ e0
+    rho_e0 = rho_n @ ket(0, typ.size)
     for flat in np.nonzero(~typ)[0]:
         fid += abs(np.vdot(vn[:, flat], rho_e0)) ** 2
     return float(fid)

@@ -102,7 +102,37 @@ class TestCodesCommand:
         assert rep["singleton_ok"]
 
 
+# Captured before the typical-set table replaced the per-sequence loops; the
+# sweep output must stay byte-identical.
+GOLDEN_COMPRESS = [
+    (["--probs", "[0.75,0.25]", "--blocks", "4,8,12", "--eps", "0.3", "--rate", "0.95"],
+     "n,epsilon,set_size,typical_mass,reliability\n"
+     "4,0.3,4,0.421875,0.421875\n"
+     "8,0.3,92,0.786071777344,0.786071777344\n"
+     "12,0.3,1585,0.913921415806,0.913921415806\n"),
+    (["--probs", "[0.75,0.25]", "--blocks", "4,8,12", "--eps", "0.3", "--rate", "0.5"],
+     "n,epsilon,set_size,typical_mass,reliability\n"
+     "4,0.3,4,0.421875,0.31640625\n"
+     "8,0.3,92,0.786071777344,0.344833374023\n"
+     "12,0.3,1585,0.913921415806,0.306204736233\n"),
+    (["--probs", "[0.5,0.3,0.2]", "--blocks", "3,5,7", "--eps", "0.3", "--rate", "1.75"],
+     "n,epsilon,set_size,typical_mass,reliability\n"
+     "3,0.3,16,0.717,0.717\n"
+     "5,0.3,141,0.74418,0.74418\n"
+     "7,0.3,1527,0.8955712,0.8955712\n"),
+    (["--probs", "[0.75,0.25]", "--blocks", "2,4,6", "--eps", "0.3", "--quantum"],
+     "n,epsilon,rank,typical_mass,fidelity\n"
+     "2,0.3,0,0,0.31640625\n"
+     "4,0.3,4,0.421875,0.278091430664\n"
+     "6,0.3,21,0.652587890625,0.457547307014\n"),
+]
+
+
 class TestCompressCommand:
+    @pytest.mark.parametrize("args,expected", GOLDEN_COMPRESS)
+    def test_golden_sweep(self, args, expected, capsys):
+        assert run_cli(["compress", *args], capsys) == (0, expected)
+
     def test_classical_sweep(self, capsys):
         code, out = run_cli(["compress", "--probs", "[0.75,0.25]", "--blocks", "4,8",
                              "--eps", "0.3", "--rate", "0.95"], capsys)
@@ -175,3 +205,41 @@ class TestQkdCommand:
         assert code == 0
         data = json.loads(path.read_text())
         assert len(data) == 2 and not data[0]["aborted"]
+
+
+QKD_IDEAL = {"n": 64, "channel": {"kind": "ideal"}}
+QKD = ["qkd", "--config", "{bad}", "--seed", "1"]
+
+
+class TestBadInput:
+    # Each case writes `payload` to bad.json; argv refers to it as {bad}.
+    @pytest.mark.parametrize("argv,payload,fragment", [
+        pytest.param(QKD + ["--trials", "0"], QKD_IDEAL, "--trials", id="trials-0"),
+        pytest.param(QKD + ["--trials", "-3"], QKD_IDEAL, "--trials", id="trials-negative"),
+        pytest.param(QKD, [64], "JSON object", id="qkd-array"),
+        pytest.param(QKD, {"n": 64, "channel": "ideal"}, "channel", id="qkd-channel-string"),
+        pytest.param(QKD, {"n": None, "channel": {"kind": "ideal"}}, "must be numbers",
+                     id="qkd-n-null"),
+        pytest.param(QKD, {"n": 64, "channel": {"kind": "ideal", "param": [0.1]}},
+                     "must be numbers", id="qkd-param-list"),
+        pytest.param(QKD, {"n": 64, "delta": float("inf"), "channel": {"kind": "ideal"}},
+                     "finite delta", id="qkd-delta-infinite"),
+        pytest.param(["entropy", "--inline", '{"a":1}'], None, "distribution",
+                     id="entropy-object"),
+        pytest.param(["qinfo", "--density", "{bad}"], [1, 0, 0, 1], "matrix", id="density-list"),
+        pytest.param(["capacity", "--channel", "{bad}"], [[0.9, 0.1], [0.1, 0.9]], "channel",
+                     id="channel-list"),
+        pytest.param(["compress", "--probs", "5", "--blocks", "4", "--eps", "0.3"], None,
+                     "distribution", id="compress-scalar"),
+        pytest.param(["capacity", "--channel", "{bad}", "--tol", "0"],
+                     {"rows": [[0.89, 0.11], [0.11, 0.89]]}, "best 0.5000840",
+                     id="capacity-no-convergence"),
+    ])
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, argv, payload, fragment):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code = main([a.replace("{bad}", str(bad)) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]

@@ -59,11 +59,19 @@ class TestTypicalSet:
         m = SourceModel((0.5, 0.5), 5, 0.01)
         assert len(typical_set(m)) == 32
 
-    def test_agrees_with_membership_pointwise(self):
-        m = SourceModel(SKEWED, 8, 0.2)
-        found = set(typical_set(m))
-        for seq in product((0, 1), repeat=8):
-            assert (seq in found) == is_typical(seq, m)
+    @pytest.mark.parametrize("probs,n,eps", [
+        (SKEWED, 8, 0.2),
+        ((0.5, 0.3, 0.2), 6, 0.15),
+        ((0.7, 0.0, 0.3), 5, 0.4),
+        (SKEWED, 4, 1e-12),                   # AAAB-type classes sit exactly on H
+    ], ids=["binary", "ternary", "zero-symbol", "boundary"])
+    def test_agrees_with_membership_pointwise(self, probs, n, eps):
+        m = SourceModel(probs, n, eps)
+        found = typical_set(m)
+        members = set(found)
+        assert found == sorted(members)       # lexicographic, no repeats
+        for seq in product(range(len(probs)), repeat=n):
+            assert (seq in members) == is_typical(seq, m)
 
     def test_size_respects_counting_bound(self):
         m = SourceModel(SKEWED, 8, 0.2)
@@ -130,11 +138,14 @@ class TestShannonScheme:
         assert r12 < 0.5
         assert r16 < r12
 
-    def test_reliability_is_exact_mass(self):
-        m = SourceModel(SKEWED, 8, 0.25)
-        s = shannon_scheme(m, 0.95)
-        assert s.reliability == pytest.approx(
-            sum(sequence_prob(seq, SKEWED) for seq in s.included), abs=1e-15)
+    # Binary (3/4, 1/4) masses are dyadic and sum exactly in any order; the
+    # ternary source pins the left-to-right summation order as well.
+    @pytest.mark.parametrize("probs,n,rate", [
+        (SKEWED, 8, 0.95), (SKEWED, 8, 0.5), ((0.5, 0.3, 0.2), 7, 1.3),
+    ], ids=["sized", "undersized", "ternary-undersized"])
+    def test_reliability_is_exact_mass(self, probs, n, rate):
+        s = shannon_scheme(SourceModel(probs, n, 0.25), rate)
+        assert s.reliability == sum(sequence_prob(seq, probs) for seq in s.included)
 
     def test_overflow_at_high_rate_reported(self):
         # huge epsilon floods the typical set past the index budget
