@@ -16,11 +16,10 @@ import numpy as np
 import scipy.optimize
 
 from .entropy import mutual_information, validate_dist, validate_stochastic
-from .qentropy import holevo_chi, von_neumann_entropy
+from .qentropy import _holevo, _mix, von_neumann_entropy
 from .rng import stream
 from .states import (
     TOL_EIG,
-    DensityMatrix,
     QuantumChannel,
     clamp_spectrum,
     dag,
@@ -104,21 +103,28 @@ def noiseless(k: int) -> np.ndarray:
     return np.eye(k)
 
 
+def _pure_outputs(op: QuantumChannel, ensemble) -> tuple[np.ndarray, np.ndarray]:
+    """Validated weights and the stacked channel outputs of the normalised vectors."""
+    probs = validate_dist([p for p, _ in ensemble])
+    inputs = []
+    for _, psi in ensemble:
+        vec = np.asarray(psi, dtype=complex).ravel()
+        if vec.size != op.dim_in:
+            raise ValueError("ensemble state does not match the channel input")
+        norm = np.linalg.norm(vec)
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"ensemble state vector has norm {norm}")
+        inputs.append(outer(vec / norm))
+    return probs, op.apply_mat(np.stack(inputs))
+
+
 def hsw_chi(op: QuantumChannel, ensemble: list[tuple[float, np.ndarray]]) -> float:
     """Holevo quantity of the channel outputs for a pure-state input ensemble.
 
     ``ensemble`` holds (probability, state vector) pairs.  This is the
     quantity whose maximum over ensembles is the product-state capacity.
     """
-    probs = validate_dist([p for p, _ in ensemble])
-    outputs = []
-    for p, psi in zip(probs, ensemble):
-        vec = np.asarray(psi[1], dtype=complex).ravel()
-        if vec.size != op.dim_in:
-            raise ValueError("ensemble state does not match the channel input")
-        vec = vec / np.linalg.norm(vec)
-        outputs.append((p, DensityMatrix(op.apply_mat(outer(vec)))))
-    return holevo_chi(outputs)
+    return _holevo(*_pure_outputs(op, ensemble))
 
 
 def _theta_to_ensemble(theta: np.ndarray, d: int) -> list[tuple[float, np.ndarray]]:
@@ -209,10 +215,4 @@ def square_root_measurement(p_global: np.ndarray,
 
 def output_entropy_bound(op: QuantumChannel, ensemble) -> float:
     """S of the average channel output; an upper bound for the Holevo quantity."""
-    probs = validate_dist([p for p, _ in ensemble])
-    avg = np.zeros((op.dim_out, op.dim_out), dtype=complex)
-    for p, psi in zip(probs, ensemble):
-        vec = np.asarray(psi[1], dtype=complex).ravel()
-        vec = vec / np.linalg.norm(vec)
-        avg += p * op.apply_mat(outer(vec))
-    return von_neumann_entropy(DensityMatrix(avg))
+    return von_neumann_entropy(_mix(*_pure_outputs(op, ensemble)))

@@ -16,11 +16,17 @@ import numpy as np
 from .states import TOL_NORM
 
 
+def _check_finite(t: np.ndarray) -> None:
+    if not np.isfinite(t).all():
+        raise ValueError("probabilities must be finite")
+
+
 def validate_dist(p) -> np.ndarray:
-    """Check nonnegativity and normalisation, returning a float array."""
+    """Check finiteness, nonnegativity and normalisation, returning a float array."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("distribution must be a nonempty vector")
+    _check_finite(p)
     if p.min() < -TOL_NORM:
         raise ValueError(f"negative probability {p.min()!r}")
     if abs(p.sum() - 1.0) > TOL_NORM:
@@ -32,6 +38,7 @@ def validate_joint(table) -> np.ndarray:
     t = np.asarray(table, dtype=float)
     if t.ndim < 1:
         raise ValueError("joint distribution must have at least one axis")
+    _check_finite(t)
     if t.min() < -TOL_NORM:
         raise ValueError(f"negative probability {t.min()!r}")
     if abs(t.sum() - 1.0) > TOL_NORM:
@@ -146,6 +153,7 @@ def validate_stochastic(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim != 2:
         raise ValueError("transition matrix must be two dimensional")
+    _check_finite(t)
     if t.min() < -TOL_NORM:
         raise ValueError(f"negative transition probability {t.min()!r}")
     if np.max(np.abs(t.sum(axis=1) - 1.0)) > TOL_NORM:

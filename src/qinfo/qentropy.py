@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
 from . import entropy as centropy
 from .states import (
@@ -20,11 +21,11 @@ from .states import (
     TOL_RECON,
     DensityMatrix,
     QuantumChannel,
+    apply_channel,
     as_density,
     clamp_spectrum,
     dag,
     eig_hermitian,
-    ket,
     outer,
     partial_trace,
     purify,
@@ -34,9 +35,7 @@ from .states import (
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -tr(rho log2 rho); 0 iff pure, log2 d iff maximally mixed."""
-    w = as_density(rho).eigenvalues()
-    mask = w > 0.0
-    return float(-np.sum(w[mask] * np.log2(w[mask])))
+    return centropy._neg_sum_plogp(as_density(rho).eigenvalues())
 
 
 def quantum_relative_entropy(rho, sigma) -> float:
@@ -50,11 +49,6 @@ def quantum_relative_entropy(rho, sigma) -> float:
     sigma = as_density(sigma)
     if rho.dim != sigma.dim:
         raise ValueError("states must share a dimension")
-    wr, vr = eig_hermitian(rho.mat)
-    wr = clamp_spectrum(wr)
-    mask = wr > 0.0
-    term_rho = float(np.sum(wr[mask] * np.log2(wr[mask])))
-
     ws, vs = eig_hermitian(sigma.mat)
     ws = clamp_spectrum(ws)
     # weight of rho on each sigma eigenvector
@@ -65,7 +59,7 @@ def quantum_relative_entropy(rho, sigma) -> float:
         return math.inf
     live = (~kernel) & (weight > 0.0)
     term_sigma = float(np.sum(weight[live] * np.log2(ws[live])))
-    return term_rho - term_sigma
+    return -von_neumann_entropy(rho) - term_sigma
 
 
 def _bipartite(rho) -> DensityMatrix:
@@ -108,17 +102,34 @@ def is_entangled_pure(psi: np.ndarray, dims: tuple[int, int]) -> bool:
 Ensemble = list  # alias: list of (probability, DensityMatrix) pairs
 
 
-def ensemble_state(ensemble: Ensemble) -> DensityMatrix:
-    """Average state sum_x p_x rho_x of an ensemble."""
+def _validate_ensemble(ensemble: Ensemble) -> tuple[np.ndarray, list[DensityMatrix]]:
+    """Validated weights and member states of an ensemble of one dimension."""
     probs = centropy.validate_dist([p for p, _ in ensemble])
     states = [as_density(r) for _, r in ensemble]
-    dim = states[0].dim
-    if any(s.dim != dim for s in states):
+    if any(s.dim != states[0].dim for s in states):
         raise ValueError("ensemble members must share a dimension")
-    avg = np.zeros((dim, dim), dtype=complex)
-    for p, s in zip(probs, states):
-        avg += p * s.mat
-    return DensityMatrix(avg, states[0].dims)
+    return probs, states
+
+
+def _mix(probs: np.ndarray, mats) -> np.ndarray:
+    """sum_x p_x mats[x], accumulated in member order so results are reproducible."""
+    return sum(p * m for p, m in zip(probs, mats))
+
+
+def _holevo(probs: np.ndarray, mats: np.ndarray) -> float:
+    """chi of trusted member density matrices stacked as (m, d, d)."""
+    spectra = np.linalg.eigvalsh(np.concatenate((_mix(probs, mats)[None], mats)))
+    chi = centropy._neg_sum_plogp(clamp_spectrum(spectra[0, ::-1]))
+    for p, w in zip(probs, spectra[1:]):
+        if p > 0.0:
+            chi -= p * centropy._neg_sum_plogp(clamp_spectrum(w[::-1]))
+    return float(chi)
+
+
+def ensemble_state(ensemble: Ensemble) -> DensityMatrix:
+    """Average state sum_x p_x rho_x of an ensemble."""
+    probs, states = _validate_ensemble(ensemble)
+    return DensityMatrix(_mix(probs, [s.mat for s in states]), states[0].dims)
 
 
 def holevo_chi(ensemble: Ensemble) -> float:
@@ -127,12 +138,8 @@ def holevo_chi(ensemble: Ensemble) -> float:
     Nonnegative, at most H(p), and an upper bound on the classical mutual
     information extractable from the ensemble by any measurement.
     """
-    avg = ensemble_state(ensemble)
-    chi = von_neumann_entropy(avg)
-    for p, s in ensemble:
-        if p > 0.0:
-            chi -= p * von_neumann_entropy(as_density(s))
-    return chi
+    probs, states = _validate_ensemble(ensemble)
+    return _holevo(probs, np.stack([s.mat for s in states]))
 
 
 def entropy_exchange(rho, op: QuantumChannel) -> float:
@@ -144,18 +151,13 @@ def entropy_exchange(rho, op: QuantumChannel) -> float:
     rho = as_density(rho)
     if op.dim_in != rho.dim or op.dim_out != rho.dim:
         raise ValueError("entropy exchange needs a square channel matching the state")
-    psi = purify(rho)
-    joint = outer(psi)
-    extended = op.extend_left(rho.dim)
-    out = DensityMatrix(extended.apply_mat(joint))
-    return von_neumann_entropy(out)
+    return von_neumann_entropy(op.extend_left(rho.dim).apply_mat(outer(purify(rho))))
 
 
 def coherent_information(rho, op: QuantumChannel) -> float:
     """I(rho, E) = S(E(rho)) - S(rho, E), the quantum mutual-information analogue."""
     rho = as_density(rho)
-    out = op.apply_mat(rho.mat)
-    return von_neumann_entropy(DensityMatrix(out)) - entropy_exchange(rho, op)
+    return von_neumann_entropy(apply_channel(rho, op)) - entropy_exchange(rho, op)
 
 
 def fidelity(rho, sigma) -> float:
@@ -191,11 +193,10 @@ def entanglement_fidelity(rho, op: QuantumChannel) -> float:
 
 def ensemble_average_fidelity(ensemble: Ensemble, op: QuantumChannel) -> float:
     """F-bar = sum_j p_j F(rho_j, E(rho_j))^2."""
-    probs = centropy.validate_dist([p for p, _ in ensemble])
+    probs, states = _validate_ensemble(ensemble)
     total = 0.0
-    for p, (_, s) in zip(probs, ensemble):
-        s = as_density(s)
-        total += p * fidelity(s, DensityMatrix(op.apply_mat(s.mat))) ** 2
+    for p, s in zip(probs, states):
+        total += p * fidelity(s, apply_channel(s, op)) ** 2
     return float(total)
 
 
@@ -260,11 +261,6 @@ def quantum_fano_gap(rho, op: QuantumChannel) -> float:
 
 def classical_quantum_state(ensemble: Ensemble) -> DensityMatrix:
     """Block state sum_i p_i |i><i| (x) rho_i used by the mixing bound."""
-    probs = centropy.validate_dist([p for p, _ in ensemble])
-    states = [as_density(r) for _, r in ensemble]
-    n = len(states)
-    d = states[0].dim
-    big = np.zeros((n * d, n * d), dtype=complex)
-    for i, (p, s) in enumerate(zip(probs, states)):
-        big += p * np.kron(outer(ket(i, n)), s.mat)
-    return DensityMatrix(big, (n, d))
+    probs, states = _validate_ensemble(ensemble)
+    blocks = [p * s.mat for p, s in zip(probs, states)]
+    return DensityMatrix(scipy.linalg.block_diag(*blocks), (len(states), states[0].dim))

@@ -83,10 +83,12 @@ class DensityMatrix:
     trace and the bipartite entropy measures.
 
     Invariants checked at construction: Hermitian within ``TOL_HERM``, unit
-    trace within ``TOL_NORM``, and all eigenvalues >= ``-TOL_EIG``.
+    trace within ``TOL_NORM``, and all eigenvalues >= ``-TOL_EIG``.  The
+    spectrum is computed once, by that check, and kept read-only for
+    ``eigenvalues()``.
     """
 
-    __slots__ = ("mat", "dims")
+    __slots__ = ("mat", "dims", "_spectrum")
 
     def __init__(self, matrix: np.ndarray, dims: tuple[int, ...] | None = None):
         m = np.array(matrix, dtype=complex)
@@ -107,6 +109,8 @@ class DensityMatrix:
         m.setflags(write=False)
         self.mat = m
         self.dims = dims
+        self._spectrum = clamp_spectrum(w[::-1])
+        self._spectrum.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -131,8 +135,7 @@ class DensityMatrix:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order, negative dust clamped to zero."""
-        w = np.linalg.eigvalsh(self.mat)[::-1]
-        return clamp_spectrum(w)
+        return self._spectrum
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim}, dims={self.dims})"
@@ -223,7 +226,7 @@ def check_measurement(operators: list[np.ndarray], dim: int) -> None:
         if m.shape != (dim, dim):
             raise ValueError(f"measurement operator shape {m.shape} != ({dim},{dim})")
         acc += dag(m) @ m
-    if np.max(np.abs(acc - np.eye(dim))) > TOL_UNIT:
+    if not np.max(np.abs(acc - np.eye(dim))) <= TOL_UNIT:
         raise ValueError("measurement operators do not satisfy the completeness relation")
 
 
@@ -275,7 +278,7 @@ class QuantumChannel:
             if k.shape[1] != din:
                 raise ValueError("Kraus operators have inconsistent input dimension")
             acc += dag(k) @ k
-        if np.max(np.abs(acc - np.eye(din))) > TOL_UNIT:
+        if not np.max(np.abs(acc - np.eye(din))) <= TOL_UNIT:
             raise ValueError("Kraus operators are not trace preserving")
         for k in ops:
             k.setflags(write=False)
@@ -293,7 +296,8 @@ class QuantumChannel:
         return apply_channel(rho, self)
 
     def apply_mat(self, mat: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
+        """sum_i E_i mat E_i^dagger on a matrix or a stack of matrices (..., d, d)."""
+        out = np.zeros(np.shape(mat)[:-2] + (self.dim_out, self.dim_out), dtype=complex)
         for k in self.kraus:
             out += k @ mat @ dag(k)
         return out

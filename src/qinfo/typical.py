@@ -35,7 +35,7 @@ class SourceModel:
         validate_dist(np.asarray(self.probs))
         if self.block_length < 1:
             raise ValueError("block length must be at least 1")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
 
     @property
@@ -58,7 +58,7 @@ class QuantumSourceModel:
         as_density(self.rho)
         if self.block_length < 1:
             raise ValueError("block length must be at least 1")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
 
 

@@ -119,6 +119,14 @@ class TestHswChi:
             assert -1e-9 <= chi <= output_entropy_bound(ch, ens) + 1e-9
             assert chi <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("fn", [hsw_chi, output_entropy_bound])
+    @pytest.mark.parametrize("vec", [
+        np.zeros(2), np.array([np.nan, 1.0]), np.array([np.inf, 1.0]), np.ones(3),
+    ], ids=["zero", "nan", "inf", "wrong-size"])
+    def test_rejects_bad_vector(self, fn, vec):
+        with pytest.raises(ValueError):
+            fn(depolarizing_channel(0.5), [(0.5, KET_0), (0.5, vec)])
+
 
 class TestHswEstimate:
     def test_identity_channel(self):
@@ -132,6 +140,15 @@ class TestHswEstimate:
     def test_depolarizing_half(self):
         chi, _ = hsw_capacity_estimate(depolarizing_channel(0.5), restarts=2, seed=3)
         assert chi == pytest.approx(1 - binary_entropy(0.25), abs=1e-3)
+
+    def test_golden_estimate(self):
+        # captured from the per-member objective that the stacked Holevo
+        # kernel replaced; the batched one must reproduce it bit for bit
+        chi, ens = hsw_capacity_estimate(depolarizing_channel(0.5), restarts=0, seed=3)
+        assert chi.hex() == "0x1.82809d5be7089p-3"
+        assert [p.hex() for p, _ in ens] == [
+            "0x1.0000003c81074p-2", "0x1.0000008667411p-2",
+            "0x1.0000001ad6e28p-2", "0x1.fffffe4481aa1p-3"]
 
     def test_monotone_in_restarts(self):
         ch = depolarizing_channel(0.3)

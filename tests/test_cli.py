@@ -231,6 +231,11 @@ class TestBadInput:
                      id="channel-list"),
         pytest.param(["compress", "--probs", "5", "--blocks", "4", "--eps", "0.3"], None,
                      "distribution", id="compress-scalar"),
+        pytest.param(["entropy", "--inline", "[null, 1]"], None, "finite", id="entropy-null"),
+        pytest.param(["capacity", "--channel", "{bad}"], {"rows": [[None, 1], [0, 1]]},
+                     "finite", id="channel-null"),
+        pytest.param(["compress", "--probs", "[0.5,0.5]", "--blocks", "4", "--eps", "nan"], None,
+                     "epsilon", id="compress-eps-nan"),
         pytest.param(["capacity", "--channel", "{bad}", "--tol", "0"],
                      {"rows": [[0.89, 0.11], [0.11, 0.89]]}, "best 0.5000840",
                      id="capacity-no-convergence"),

@@ -16,6 +16,9 @@ from qinfo.entropy import (
     random_joint,
     relative_entropy,
     shannon_entropy,
+    validate_dist,
+    validate_joint,
+    validate_stochastic,
 )
 
 from oracles import best_guess_conditional_entropy
@@ -48,6 +51,19 @@ class TestShannonEntropy:
     def test_rejects_unnormalised(self):
         with pytest.raises(ValueError):
             shannon_entropy([0.5, 0.6])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("validate,table", [
+    (validate_dist, [None, 1.0]),
+    (validate_joint, [[None, 1.0], [0.0, 0.0]]),
+    (validate_stochastic, [[None, 1.0], [0.0, 1.0]]),
+], ids=["dist", "joint", "stochastic"])
+def test_validators_reject_non_finite(validate, table, bad):
+    t = np.array(table, dtype=float)   # None becomes NaN and marks the bad entry
+    t[np.isnan(t)] = bad
+    with pytest.raises(ValueError, match="finite"):
+        validate(t)
 
 
 class TestCodeLengthFixture:

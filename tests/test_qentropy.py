@@ -98,6 +98,26 @@ class TestQuantumRelativeEntropy:
             sigma = random_density_matrix(3, rng)
             assert quantum_relative_entropy(rho, sigma) >= -ATOL
 
+    def test_matches_direct_eigh_reference(self, rng):
+        # tr(rho log rho) comes from the cached eigvalsh spectrum, the
+        # reference from eigh.  On full-rank states they differ in the last
+        # bits.  A zero eigenvalue comes back from either solver as dust of
+        # size up to about d*eps, and x log2 x turns that into up to
+        # d*eps*52 per zero eigenvalue, for each of the two solvers.
+        eps = np.finfo(float).eps
+        for _ in range(100):
+            d = int(rng.integers(2, 6))
+            rank = int(rng.integers(1, d + 1))
+            rho = random_density_matrix(d, rng, rank=rank)
+            sigma = random_density_matrix(d, rng)
+            wr = np.linalg.eigh(rho.mat)[0]
+            wr = wr[wr > 0.0]
+            ws, vs = np.linalg.eigh(sigma.mat)
+            weight = np.einsum("ij,ji->i", vs.conj().T @ rho.mat, vs).real.clip(0.0)
+            ref = np.sum(wr * np.log2(wr)) - np.sum(weight * np.log2(ws))
+            tol = 1e-14 if rank == d else 2 * (d - rank) * d * eps * 52
+            assert abs(quantum_relative_entropy(rho, sigma) - ref) <= tol
+
 
 class TestBipartiteMeasures:
     def test_product_state_additivity(self, rng):
@@ -155,6 +175,10 @@ class TestHolevo:
 
     def test_singleton_ensemble(self, rng):
         assert holevo_chi([(1.0, random_density_matrix(3, rng))]) == pytest.approx(0.0, abs=ATOL)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError):
+            holevo_chi([(math.nan, DensityMatrix.pure(KET_0)), (1.0, DensityMatrix.pure(KET_1))])
 
     def test_chi_between_zero_and_mixing_entropy(self, rng):
         for _ in range(25):

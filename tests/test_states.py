@@ -13,6 +13,8 @@ from qinfo.states import (
     QuantumChannel,
     apply_channel,
     apply_unitary,
+    check_measurement,
+    clamp_spectrum,
     cyclic_averaging,
     dag,
     depolarizing_channel,
@@ -53,6 +55,12 @@ class TestDensityMatrix:
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 4, dims=(2, 3))
+
+    def test_spectrum_is_kept_read_only(self, rng):
+        rho = random_density_matrix(3, rng, rank=2)
+        w = rho.eigenvalues()
+        assert np.array_equal(w, clamp_spectrum(np.linalg.eigvalsh(rho.mat)[::-1]))
+        assert w is rho.eigenvalues() and not w.flags.writeable
 
     def test_pure_normalises_small_drift(self):
         psi = KET_0 * (1 + 5e-7)
@@ -175,6 +183,10 @@ class TestUnitaryAndMeasure:
         with pytest.raises(ValueError):
             measure(DensityMatrix.maximally_mixed(2), [outer(KET_0)])
 
+    def test_nan_operator_rejected(self):
+        with pytest.raises(ValueError):
+            check_measurement([np.array([[np.nan, 0], [0, 1]])], 2)
+
     def test_probabilities_sum_to_one(self, rng):
         for _ in range(20):
             rho = random_density_matrix(3, rng)
@@ -201,6 +213,17 @@ class TestChannels:
     def test_non_trace_preserving_rejected(self):
         with pytest.raises(ValueError):
             QuantumChannel([0.5 * ID2])
+
+    def test_nan_kraus_rejected(self):
+        with pytest.raises(ValueError):
+            QuantumChannel([np.array([[np.nan, 0], [0, 1]])])
+
+    def test_apply_mat_on_a_stack_matches_each_member(self, rng):
+        ch = random_channel(3, 2, rng)
+        stack = np.stack([random_density_matrix(3, rng).mat for _ in range(4)])
+        out = ch.apply_mat(stack)
+        assert out.shape == (4, 3, 3)
+        assert all(np.array_equal(o, ch.apply_mat(m)) for o, m in zip(out, stack))
 
     def test_trace_and_positivity_preserved(self, rng):
         for _ in range(10):
