@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import CssCode, coset_key, decode, encode, syndrome_table
+from .codes import CssCode, _coset_keys, _decode_c1, coset_key, decode
 from .entropy import mutual_information
 from .qentropy import coherent_information, holevo_chi
 from .rng import stream
@@ -100,6 +100,8 @@ class ProtocolConfig:
             raise ValueError("threshold must satisfy 0 <= t < n")
         if self.code.logical_bits < 0 or self.code.t < 1:
             raise ValueError("reconciliation needs a CSS code correcting >= 1 error")
+        if self.n < self.code.n:
+            raise ValueError(f"key block n={self.n} shorter than one code block ({self.code.n})")
 
     @property
     def qubits_sent(self) -> int:
@@ -190,14 +192,28 @@ def reconcile_and_amplify(code: CssCode, x_alice: np.ndarray, x_bob: np.ndarray,
     return key_a, key_b, bool(np.array_equal(v_hat, v)), offset
 
 
+def _reconcile_blocks(code: CssCode, x_alice: np.ndarray, x_bob: np.ndarray,
+                      msgs: np.ndarray):
+    """reconcile_and_amplify on every row of (B, n) bit stacks at once.
+
+    Returns (keys_a, keys_b, success, offsets), one row per block.
+    """
+    v = msgs @ code.c1.generator.T % 2
+    offsets = x_alice ^ v
+    v_hat, decoded = _decode_c1(code, x_bob ^ offsets)
+    keys = _coset_keys(code, np.concatenate([v, v_hat]))
+    success = decoded & np.all(v_hat == v, axis=1)
+    return keys[:len(v)], keys[len(v):], success, offsets
+
+
 def run_bb84(cfg: ProtocolConfig, ch: ChannelModel) -> ProtocolTranscript:
     """Execute one complete protocol run.
 
     Steps: random bits and bases, basis encoding, transport, random-basis
     measurement, basis announcement and sifting (abort below 2n survivors),
     random selection of n check bits (abort above the disagreement
-    threshold), then per-block codeword announcement, C1 decoding and coset
-    key extraction.
+    threshold), then codeword announcement, C1 decoding and coset key
+    extraction for all blocks in one stacked pass.
     """
     seed = cfg.master_seed
     n, total = cfg.n, cfg.qubits_sent
@@ -208,8 +224,6 @@ def run_bb84(cfg: ProtocolConfig, ch: ChannelModel) -> ProtocolTranscript:
     bob_bases = stream(seed, "bob-bases").integers(0, 2, total).astype(np.uint8)
 
     n_blocks = n // code.n
-    if n_blocks < 1:
-        raise ValueError(f"key block n={n} shorter than one code block ({code.n})")
     msgs = stream(seed, "codewords").integers(0, 2, (n_blocks, code.c1.k)).astype(np.uint8)
 
     rhos = STATE_MATRICES[alice_bases, alice_bits]
@@ -254,27 +268,17 @@ def run_bb84(cfg: ProtocolConfig, ch: ChannelModel) -> ProtocolTranscript:
             announced_offset=empty, alice_key=empty, bob_key=empty,
             block_success=np.zeros(0, dtype=bool), **base)
 
-    x_alice = alice_bits[keep_idx]
-    x_bob = bob_bits[keep_idx]
-    table = syndrome_table(code.c1, code.t)
-    keys_a, keys_b, offsets, successes = [], [], [], []
-    for b in range(n_blocks):
-        blk = slice(b * code.n, (b + 1) * code.n)
-        v = encode(code.c1, msgs[b])
-        ka, kb, ok, off = reconcile_and_amplify(code, x_alice[blk], x_bob[blk], v, table)
-        keys_a.append(ka)
-        keys_b.append(kb)
-        offsets.append(off)
-        successes.append(ok)
+    kept = keep_idx[:n_blocks * code.n]
+    keys_a, keys_b, success, offsets = _reconcile_blocks(
+        code, alice_bits[kept].reshape(n_blocks, code.n),
+        bob_bits[kept].reshape(n_blocks, code.n), msgs)
 
     return ProtocolTranscript(
         aborted=False, abort_reason=None,
         check_indices=check_idx, keep_indices=keep_idx,
         disagreements=disagreements, qber_estimate=qber,
-        announced_offset=np.concatenate(offsets) if offsets else empty,
-        alice_key=np.concatenate(keys_a) if keys_a else empty,
-        bob_key=np.concatenate(keys_b) if keys_b else empty,
-        block_success=np.array(successes, dtype=bool), **base)
+        announced_offset=offsets.ravel(), alice_key=keys_a.ravel(),
+        bob_key=keys_b.ravel(), block_success=success, **base)
 
 
 def run_batch(cfg: ProtocolConfig, ch: ChannelModel, trials: int) -> list[ProtocolTranscript]:

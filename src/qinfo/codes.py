@@ -4,6 +4,10 @@ Bit strings are numpy uint8 vectors of 0/1.  A generator matrix G is n x k and
 acts on column messages (codeword = G m mod 2); the parity check H is
 (n - k) x n with H G = 0.  Decoding uses an exhaustive syndrome lookup table
 over error patterns of weight <= t, so it is exact at desk scale (n <= 24).
+For BB84 reconciliation a CssCode caches that table for C1 as sorted integer
+syndromes (C1 with at most 64 checks), so a (B, n) stack of words decodes with
+one searchsorted, and coset keys of a stack come from one product with the
+cached G1 left inverse; decode and coset_key stay the single-word forms.
 
 The CSS section builds quantum codes from a nested classical pair C2 within C1
 and verifies the correction procedure with a dense statevector simulation
@@ -249,6 +253,11 @@ def syndrome_table(code: LinearCode, t: int) -> dict[bytes, np.ndarray]:
     return table
 
 
+def _check_radius(code: LinearCode, t: int) -> None:
+    if code.distance is not None and 2 * t + 1 > code.distance:
+        raise ValueError(f"t={t} exceeds the correction radius of d={code.distance}")
+
+
 def decode(code: LinearCode, received, t: int,
            table: dict[bytes, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray] | None:
     """Nearest-codeword decoding within radius t via syndrome lookup.
@@ -257,8 +266,7 @@ def decode(code: LinearCode, received, t: int,
     <= t explains the syndrome.  Requires 2t + 1 <= d when the distance is
     known, so the correction inside the radius is unique.
     """
-    if code.distance is not None and 2 * t + 1 > code.distance:
-        raise ValueError(f"t={t} exceeds the correction radius of d={code.distance}")
+    _check_radius(code, t)
     y = bits(received)
     s = syndrome(code, y).tobytes()
     if table is None:
@@ -355,6 +363,7 @@ class CssCode:
             raise ValueError("u and v must have length n")
         self.t = int(t)
         self._key_cache = None
+        self._lookup_cache = None
 
     @property
     def n(self) -> int:
@@ -414,6 +423,19 @@ def _key_machinery(code: CssCode):
     return code._key_cache
 
 
+def _coset_keys(code: CssCode, words: np.ndarray) -> np.ndarray:
+    """coset_key of each row of a (B, n) uint8 stack of C1 codewords.
+
+    Reducing m modulo the rref rows of the C2 image, one row per pivot, is a
+    single product because each row is zero at every other pivot column.
+    """
+    pivot_rows, inv, red, pivots, free = _key_machinery(code)
+    m = words[:, pivot_rows] @ inv.T % 2
+    if np.any(m @ code.c1.generator.T % 2 != words):
+        raise ValueError("word is not a codeword of C1")
+    return (m[:, free] + m[:, pivots] @ red[:, free]) % 2
+
+
 def coset_key(code: CssCode, v) -> np.ndarray:
     """Label of the coset v + C2 in C1 as k1 - k2 key bits.
 
@@ -423,14 +445,33 @@ def coset_key(code: CssCode, v) -> np.ndarray:
     same key.
     """
     v = bits(v)
-    pivot_rows, inv, red, pivots, free = _key_machinery(code)
-    m = gf2_mul(inv, v[pivot_rows])
-    if np.any(gf2_mul(code.c1.generator, m) != v):
-        raise ValueError("word is not a codeword of C1")
-    for row, col in enumerate(pivots):
-        if m[col]:
-            m ^= red[row]
-    return m[free]
+    if v.size != code.n:
+        raise ValueError(f"word length {v.size} != n = {code.n}")
+    return _coset_keys(code, v[None, :])[0]
+
+
+def _decode_c1(code: CssCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """decode(C1, word, t) of each row of a (B, n) uint8 stack.
+
+    Returns (codewords, found).  A row whose syndrome has no pattern of weight
+    <= t comes back as the zero codeword with found False.  syndrome_table is
+    built once per code and cached as sorted big-endian integer syndromes.
+    """
+    h = code.c1.parity_check
+    weights = np.uint64(1) << np.arange(h.shape[0] - 1, -1, -1, dtype=np.uint64)
+    if code._lookup_cache is None:
+        _check_radius(code.c1, code.t)
+        if h.shape[0] > 64:
+            raise ValueError("stacked syndrome decoding needs n - k <= 64 for C1")
+        patterns = np.array(list(syndrome_table(code.c1, code.t).values()), dtype=np.uint8)
+        keys = (patterns @ h.T % 2).astype(np.uint64) @ weights
+        order = np.argsort(keys)
+        code._lookup_cache = (keys[order], patterns[order])
+    keys, patterns = code._lookup_cache
+    s = (words @ h.T % 2).astype(np.uint64) @ weights
+    pos = np.minimum(np.searchsorted(keys, s), keys.size - 1)
+    found = keys[pos] == s
+    return np.where(found[:, None], words ^ patterns[pos], 0), found
 
 
 def css_basis_state(code: CssCode, x) -> np.ndarray:

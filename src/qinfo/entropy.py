@@ -28,9 +28,9 @@ def validate_dist(p) -> np.ndarray:
         raise ValueError("distribution must be a nonempty vector")
     _check_finite(p)
     if p.min() < -TOL_NORM:
-        raise ValueError(f"negative probability {p.min()!r}")
+        raise ValueError(f"negative probability {float(p.min())}")
     if abs(p.sum() - 1.0) > TOL_NORM:
-        raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
+        raise ValueError(f"probabilities sum to {float(p.sum())}, expected 1")
     return np.clip(p, 0.0, None)
 
 
@@ -40,9 +40,9 @@ def validate_joint(table) -> np.ndarray:
         raise ValueError("joint distribution must have at least one axis")
     _check_finite(t)
     if t.min() < -TOL_NORM:
-        raise ValueError(f"negative probability {t.min()!r}")
+        raise ValueError(f"negative probability {float(t.min())}")
     if abs(t.sum() - 1.0) > TOL_NORM:
-        raise ValueError(f"probabilities sum to {t.sum()!r}, expected 1")
+        raise ValueError(f"probabilities sum to {float(t.sum())}, expected 1")
     return np.clip(t, 0.0, None)
 
 
@@ -155,7 +155,7 @@ def validate_stochastic(t) -> np.ndarray:
         raise ValueError("transition matrix must be two dimensional")
     _check_finite(t)
     if t.min() < -TOL_NORM:
-        raise ValueError(f"negative transition probability {t.min()!r}")
+        raise ValueError(f"negative transition probability {float(t.min())}")
     if np.max(np.abs(t.sum(axis=1) - 1.0)) > TOL_NORM:
         raise ValueError("transition rows must each sum to 1")
     return np.clip(t, 0.0, None)

@@ -98,10 +98,10 @@ class DensityMatrix:
             raise ValueError("density matrix is not Hermitian")
         tr = np.trace(m).real
         if abs(tr - 1.0) > TOL_NORM:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
+            raise ValueError(f"density matrix trace is {float(tr)}, expected 1")
         w = np.linalg.eigvalsh(m)
         if w.min() < -TOL_EIG:
-            raise ValueError(f"density matrix has negative eigenvalue {w.min()!r}")
+            raise ValueError(f"density matrix has negative eigenvalue {float(w.min())}")
         if dims is not None:
             dims = tuple(int(d) for d in dims)
             if int(np.prod(dims)) != m.shape[0]:
@@ -122,7 +122,7 @@ class DensityMatrix:
         psi = np.asarray(amplitudes, dtype=complex).ravel()
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"state vector norm is {norm!r}, expected 1")
+            raise ValueError(f"state vector norm is {float(norm)}, expected 1")
         psi = psi / norm
         return cls(outer(psi), dims)
 
@@ -153,7 +153,7 @@ def as_density(rho, dims: tuple[int, ...] | None = None) -> DensityMatrix:
 def clamp_spectrum(w: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
     """Zero out eigenvalues in [-tol, 0); values below -tol are a hard error."""
     if w.min() < -tol:
-        raise ValueError(f"eigenvalue {w.min()!r} below -{tol}")
+        raise ValueError(f"eigenvalue {float(w.min())} below -{tol}")
     return np.where(w < 0.0, 0.0, w)
 
 
@@ -377,7 +377,7 @@ def schmidt_decompose(psi: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarra
         raise ValueError(f"dims {dims} do not match a vector of length {psi.size}")
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"state vector norm is {norm!r}, expected 1")
+        raise ValueError(f"state vector norm is {float(norm)}, expected 1")
     psi = psi / norm
     m = psi.reshape(da, db)
     u, s, vh = np.linalg.svd(m)

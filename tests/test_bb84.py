@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from qinfo import formats
 from qinfo.bb84 import (
     COMPUTATIONAL,
     HADAMARD_BASIS,
     ChannelModel,
     ProtocolConfig,
+    _reconcile_blocks,
     bb84_state,
     eve_holevo_bound,
     eve_information_estimate,
@@ -15,7 +19,7 @@ from qinfo.bb84 import (
     run_batch,
     run_bb84,
 )
-from qinfo.codes import coset_key, encode, steane_css
+from qinfo.codes import CssCode, LinearCode, coset_key, decode, encode, repetition_code, steane_css
 from qinfo.rng import stream
 from qinfo.states import (
     KET_0,
@@ -29,6 +33,8 @@ from qinfo.states import (
 from oracles import w_matrix_entropy
 
 STEANE = steane_css()
+# C1 = [5, 1] repetition code at t=1: six of its 16 syndromes have a pattern
+REP5 = CssCode(repetition_code(5), LinearCode(np.zeros((5, 0), dtype=np.uint8)), t=1)
 
 
 def config(n=64, delta=1.0, threshold=None, seed=11) -> ProtocolConfig:
@@ -104,6 +110,28 @@ class TestReconcile:
                 failures += not ok
         assert failures > 0
 
+    @pytest.mark.parametrize("code,undecodable", [(STEANE, False), (REP5, True)],
+                             ids=["steane", "rep5-t1"])
+    def test_stacked_pass_matches_single_block_reference(self, rng, code, undecodable):
+        blocks = 300
+        msgs = rng.integers(0, 2, (blocks, code.c1.k)).astype(np.uint8)
+        x_alice = rng.integers(0, 2, (blocks, code.n)).astype(np.uint8)
+        errors = np.zeros_like(x_alice)
+        for row, weight in zip(errors, rng.integers(0, 4, blocks)):
+            row[rng.choice(code.n, weight, replace=False)] = 1
+        x_bob = x_alice ^ errors
+        keys_a, keys_b, success, offsets = _reconcile_blocks(code, x_alice, x_bob, msgs)
+        missed = 0
+        for b in range(blocks):
+            ka, kb, ok, offset = reconcile_and_amplify(
+                code, x_alice[b], x_bob[b], encode(code.c1, msgs[b]))
+            missed += decode(code.c1, x_bob[b] ^ offset, code.t) is None
+            for want, got in ((ka, keys_a[b]), (kb, keys_b[b]), (offset, offsets[b])):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert success[b] == ok
+        assert (missed > 0) == undecodable
+        assert success.dtype == bool and not success.all()
+
     def test_offset_announced_not_key(self, rng):
         x = rng.integers(0, 2, 7).astype(np.uint8)
         v = encode(STEANE.c1, rng.integers(0, 2, 4).astype(np.uint8))
@@ -163,6 +191,10 @@ class TestProtocolRuns:
         n_blocks = t.alice_key.size
         kept = t.alice_bits[t.keep_indices][:7 * n_blocks]
         assert not np.array_equal(t.announced_offset, kept)
+
+    def test_key_block_shorter_than_code_block_rejected(self):
+        with pytest.raises(ValueError, match="shorter than one code block"):
+            config(n=6, threshold=0)
 
     def test_sift_statistics(self):
         t = run_bb84(config(n=256), ChannelModel("ideal"))
@@ -264,3 +296,52 @@ class TestBatchTransportAgreesWithSingleQubit:
         single = np.array([measure_qubit(DensityMatrix(rhos[i]), int(meas[i]), rng2)
                            for i in range(6)], dtype=np.uint8)
         assert np.array_equal(batch, single)
+
+
+# sha256 of formats.dump_json over four run_batch transcripts, Steane code,
+# threshold round(0.11 n).  n=64 runs at delta=0, so sifting aborts occur;
+# n=512 runs at delta=1.  The set holds ideal runs, runs with failed blocks
+# and aborts of both kinds (see test_golden_set_covers_every_outcome).
+GOLDEN_DELTA = {64: 0.0, 512: 1.0}
+GOLDEN = [
+    (64, 0, "ideal", 0.0, "cbcb98a84a28e5b450d2aced2d7af6210a54793d57cfc05ac85575f118f10497"),
+    (64, 0, "depolarizing", 0.1, "4919d81df29123271930013152e07139d23c85380bf7cf8a15e415cbfbb579f4"),
+    (64, 0, "depolarizing", 0.25, "8e0fa303b7a10f6a04cb72c12b7fb5b70f56a4115bc1e175d9abd5580b11fcd8"),
+    (64, 0, "intercept_resend", 0.3, "afb9f9da5aac769a96eeda13aee1d9715a0fde352efd7b3fd4c22b22cee51ccf"),
+    (64, 4, "ideal", 0.0, "c44e292a50033a70eb3740fd9b35843deb233e6607ca05ab93b6ac8507883512"),
+    (64, 4, "depolarizing", 0.1, "3bd652a6f44a14debff6a9fa7c781708baf4735f4a9c1780cff6b94db54c3b4a"),
+    (64, 4, "depolarizing", 0.25, "8b4bbe5f186a4111dedefb35d59f7475cfab318832b5909e36249a1ddbcfe44c"),
+    (64, 4, "intercept_resend", 0.3, "c813a9b042258803f496adaf56e3da0b531a88fb07fb4c2c479bb797414386b4"),
+    (512, 0, "ideal", 0.0, "df7f49b0f4442437f6623991aa0478eca8345f4e31962cd3ac4561143d061748"),
+    (512, 0, "depolarizing", 0.1, "28b591f3ab0c0f72c2c0d60d100c0c573e6a52b6ac52b28365fde8cefd80b61a"),
+    (512, 0, "depolarizing", 0.25, "0558a589e6c91d5e6b54a073120fa9e1af4670cfd932d88ce867df55fd1d24af"),
+    (512, 0, "intercept_resend", 0.3, "98d7c2f07a8a3ae71762e207cfd63efd1a2cdea1564a3e426d190ad6776e4a45"),
+    (512, 4, "ideal", 0.0, "f9feaa6528c0e4a52b911ff22f8f6dffc2e30e73a1ba1963ad9d9d411a569215"),
+    (512, 4, "depolarizing", 0.1, "f08ac53dbc3701ecab144977e37176b1a1d9621d7877bafaca5c9c427097d4f6"),
+    (512, 4, "depolarizing", 0.25, "ba3921f9d29ddcaa4be794d90ac0f457f75dc89755bd1cc9559669edd21920f9"),
+    (512, 4, "intercept_resend", 0.3, "667a0b39f8aad96bac5d8b626ec4009c81ba17524f639c73e073ee3b66a2578b"),
+]
+
+
+def golden_batch(n, seed, kind, param):
+    cfg = ProtocolConfig(n=n, delta=GOLDEN_DELTA[n], threshold=round(0.11 * n),
+                         code=STEANE, master_seed=seed)
+    return run_batch(cfg, ChannelModel(kind, param), 4)
+
+
+class TestGoldenTranscripts:
+    @pytest.mark.parametrize("n,seed,kind,param,digest", GOLDEN,
+                             ids=[f"n{c[0]}-s{c[1]}-{c[2]}-{c[3]}" for c in GOLDEN])
+    def test_transcripts_are_byte_identical(self, n, seed, kind, param, digest):
+        ts = golden_batch(n, seed, kind, param)
+        text = formats.dump_json([formats.transcript_to_json(t) for t in ts])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_golden_set_covers_every_outcome(self):
+        reasons, failed_blocks = set(), 0
+        for n, seed, kind, param, _ in GOLDEN:
+            for t in golden_batch(n, seed, kind, param):
+                reasons.add(t.abort_reason and t.abort_reason.split()[0])
+                failed_blocks += int(np.sum(~t.block_success))
+        assert reasons == {None, "sifting", "check-bit"}
+        assert failed_blocks > 0

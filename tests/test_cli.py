@@ -224,6 +224,8 @@ class TestBadInput:
                      "must be numbers", id="qkd-param-list"),
         pytest.param(QKD, {"n": 64, "delta": float("inf"), "channel": {"kind": "ideal"}},
                      "finite delta", id="qkd-delta-infinite"),
+        pytest.param(QKD, {"n": 3, "channel": {"kind": "ideal"}}, "shorter than one code block",
+                     id="qkd-n-below-code-block"),
         pytest.param(["entropy", "--inline", '{"a":1}'], None, "distribution",
                      id="entropy-object"),
         pytest.param(["qinfo", "--density", "{bad}"], [1, 0, 0, 1], "matrix", id="density-list"),
@@ -232,6 +234,8 @@ class TestBadInput:
         pytest.param(["compress", "--probs", "5", "--blocks", "4", "--eps", "0.3"], None,
                      "distribution", id="compress-scalar"),
         pytest.param(["entropy", "--inline", "[null, 1]"], None, "finite", id="entropy-null"),
+        pytest.param(["entropy", "--inline", "[0.5, 0.6]"], None, "sum to 1.1, expected 1",
+                     id="entropy-sum"),
         pytest.param(["capacity", "--channel", "{bad}"], {"rows": [[None, 1], [0, 1]]},
                      "finite", id="channel-null"),
         pytest.param(["compress", "--probs", "[0.5,0.5]", "--blocks", "4", "--eps", "nan"], None,
@@ -248,3 +252,4 @@ class TestBadInput:
         assert code == 2 and captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
+        assert "np." not in lines[0]

@@ -3,9 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from qinfo import codes
 from qinfo.codes import (
     CssCode,
     LinearCode,
+    _coset_keys,
+    _decode_c1,
     apply_bit_flips,
     apply_phase_flips,
     bits,
@@ -160,6 +163,26 @@ class TestDecode:
         table = syndrome_table(c, 1)
         e = table[syndrome(c, "100").tobytes()]
         assert np.array_equal(e, bits("100"))
+
+    def test_stacked_decode_builds_its_table_once(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(codes, "syndrome_table",
+                            lambda c, t: built.append(t) or syndrome_table(c, t))
+        s = steane_css()
+        words = s.c1.codewords() ^ np.eye(16, 7, dtype=np.uint8)
+        for _ in range(2):
+            fixed, found = _decode_c1(s, words)
+            assert found.all() and np.array_equal(fixed, s.c1.codewords())
+        assert built == [1]
+
+    @pytest.mark.parametrize("c1,t,fragment", [
+        (hamming_7_4(), 2, "correction radius"),
+        (repetition_code(66), 1, "n - k <= 64"),
+    ], ids=["radius", "65-checks"])
+    def test_stacked_decode_rejects_what_it_cannot_serve(self, c1, t, fragment):
+        code = CssCode(c1, LinearCode(np.zeros((c1.n, 0), dtype=np.uint8)), t=t)
+        with pytest.raises(ValueError, match=fragment):
+            _decode_c1(code, np.zeros((1, c1.n), dtype=np.uint8))
 
     def test_round_trips_all_correctable_errors(self, rng):
         for c in (repetition_code(3), hamming_7_4(), simplex_7_3()):
@@ -369,6 +392,21 @@ class TestCosetKey:
     def test_rejects_non_codeword(self):
         with pytest.raises(ValueError):
             coset_key(steane_css(), "1000000")
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="length 3"):
+            coset_key(steane_css(), "000")
+
+    def test_stack_matches_single_words_and_checks_every_row(self):
+        s = steane_css()
+        words = s.c1.codewords()
+        keys = _coset_keys(s, words)
+        assert keys.dtype == np.uint8 and keys.shape == (16, 1)
+        assert all(np.array_equal(k, coset_key(s, w)) for k, w in zip(keys, words))
+        bad = words.copy()
+        bad[5, 0] ^= 1
+        with pytest.raises(ValueError, match="not a codeword"):
+            _coset_keys(s, bad)
 
 
 class TestStatevectorHelpers:
