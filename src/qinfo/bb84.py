@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import CssCode, _coset_keys, _decode_c1, coset_key, decode
+from .codes import CssCode, _check_stacked_decode, _coset_keys, _decode_c1, coset_key, decode
 from .entropy import mutual_information
 from .qentropy import coherent_information, holevo_chi
 from .rng import stream
@@ -102,6 +102,7 @@ class ProtocolConfig:
             raise ValueError("reconciliation needs a CSS code correcting >= 1 error")
         if self.n < self.code.n:
             raise ValueError(f"key block n={self.n} shorter than one code block ({self.code.n})")
+        _check_stacked_decode(self.code)
 
     @property
     def qubits_sent(self) -> int:
@@ -173,7 +174,7 @@ def _transmit(rhos: np.ndarray, ch: ChannelModel, seed: int):
 
 
 def reconcile_and_amplify(code: CssCode, x_alice: np.ndarray, x_bob: np.ndarray,
-                          v: np.ndarray, table=None):
+                          v: np.ndarray):
     """One reconciliation + privacy amplification block.
 
     Alice announces offset = x_alice - v; Bob decodes x_bob - offset with C1
@@ -184,7 +185,7 @@ def reconcile_and_amplify(code: CssCode, x_alice: np.ndarray, x_bob: np.ndarray,
     offset = (np.asarray(x_alice, dtype=np.uint8) ^ v).astype(np.uint8)
     key_a = coset_key(code, v)
     word = (np.asarray(x_bob, dtype=np.uint8) ^ offset).astype(np.uint8)
-    out = decode(code.c1, word, code.t, table)
+    out = decode(code.c1, word, code.t)
     if out is None:
         return key_a, np.zeros_like(key_a), False, offset
     v_hat = out[0]

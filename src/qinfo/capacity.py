@@ -3,9 +3,9 @@
 A classical channel is a row-stochastic matrix p(y|x).  Its capacity
 max over inputs of H(X:Y) is computed by the standard alternating-optimisation
 iteration; the quantum product-state capacity is lower-bounded by a direct
-search over pure-state ensembles of the output Holevo quantity.  The
-square-root ("pretty good") measurement used by block decoding is built
-explicitly from the signal projectors.
+search over pure-state ensembles of the output Holevo quantity, evaluated on
+trusted stacked arrays.  The square-root ("pretty good") measurement used by
+block decoding is built explicitly from the signal projectors.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .states import (
     clamp_spectrum,
     dag,
     eig_hermitian,
-    ket,
-    outer,
 )
 
 
@@ -103,47 +101,51 @@ def noiseless(k: int) -> np.ndarray:
     return np.eye(k)
 
 
+def _row_norms(vecs: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row of a complex (m, d) stack, bit for bit."""
+    return np.sqrt(np.vecdot(vecs.real, vecs.real) + np.vecdot(vecs.imag, vecs.imag))
+
+
+def _unit_outputs(op: QuantumChannel, vecs: np.ndarray) -> np.ndarray:
+    """Channel outputs (m, d_out, d_out) of the normalised rows of a trusted (m, d) stack."""
+    u = vecs / _row_norms(vecs)[:, None]
+    return op.apply_mat(u[:, :, None] * u.conj()[:, None, :])
+
+
 def _pure_outputs(op: QuantumChannel, ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """Validated weights and the stacked channel outputs of the normalised vectors."""
-    probs = validate_dist([p for p, _ in ensemble])
-    inputs = []
-    for _, psi in ensemble:
-        vec = np.asarray(psi, dtype=complex).ravel()
-        if vec.size != op.dim_in:
-            raise ValueError("ensemble state does not match the channel input")
-        norm = np.linalg.norm(vec)
-        if not 0.0 < norm < math.inf:
-            raise ValueError(f"ensemble state vector has norm {norm}")
-        inputs.append(outer(vec / norm))
-    return probs, op.apply_mat(np.stack(inputs))
+    """Validated weights and the stacked channel outputs of (probability, vector) pairs."""
+    weights, vecs = zip(*ensemble) if len(ensemble) else ((), ())
+    probs = validate_dist(weights)
+    try:
+        vecs = np.array(vecs, dtype=complex).reshape(probs.size, op.dim_in)
+    except ValueError:
+        raise ValueError("ensemble state does not match the channel input") from None
+    norms = _row_norms(vecs)
+    bad = ~((0.0 < norms) & (norms < math.inf))
+    if bad.any():
+        raise ValueError(f"ensemble state vector has norm {norms[bad][0]}")
+    return probs, _unit_outputs(op, vecs)
 
 
 def hsw_chi(op: QuantumChannel, ensemble: list[tuple[float, np.ndarray]]) -> float:
     """Holevo quantity of the channel outputs for a pure-state input ensemble.
 
-    ``ensemble`` holds (probability, state vector) pairs.  This is the
-    quantity whose maximum over ensembles is the product-state capacity.
+    ``ensemble`` holds (probability, state vector) pairs, normalised here.
+    Its maximum over ensembles is the product-state capacity.
     """
     return _holevo(*_pure_outputs(op, ensemble))
 
 
-def _theta_to_ensemble(theta: np.ndarray, d: int) -> list[tuple[float, np.ndarray]]:
-    """Unconstrained reals -> (simplex weights, unit vectors) for d^2 states."""
+def _theta_to_ensemble(theta: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reals -> simplex weights and (d^2, d) unit rows; row j of norm < 1e-12 becomes |j mod d>."""
     m = d * d
-    logits = theta[:m]
-    logits = logits - logits.max()
-    w = np.exp(logits)
+    w = np.exp(theta[:m] - theta[:m].max())
     w /= w.sum()
-    out = []
     rest = theta[m:].reshape(m, 2 * d)
-    for j in range(m):
-        vec = rest[j, :d] + 1j * rest[j, d:]
-        norm = np.linalg.norm(vec)
-        if norm < 1e-12:
-            vec = ket(j % d, d)
-            norm = 1.0
-        out.append((float(w[j]), vec / norm))
-    return out
+    vecs = rest[:, :d] + 1j * rest[:, d:]
+    dead = _row_norms(vecs) < 1e-12
+    vecs[dead] = np.eye(d)[np.arange(m)[dead] % d]
+    return w, vecs / _row_norms(vecs)[:, None]
 
 
 def hsw_capacity_estimate(op: QuantumChannel, restarts: int = 16, tol: float = 1e-8,
@@ -154,19 +156,21 @@ def hsw_capacity_estimate(op: QuantumChannel, restarts: int = 16, tol: float = 1
     with a derivative-free simplex search.  The first start is the
     computational-basis ensemble; the rest are random with seeds derived from
     ``seed``, so the result is deterministic and nondecreasing in
-    ``restarts``.
+    ``restarts``.  Evaluations run the kernels behind ``hsw_chi`` on stacked
+    arrays without validating; only the winner becomes a list of pairs.
     """
+    if restarts < 0:
+        raise ValueError("restarts must be >= 0")
     d = op.dim_in
     m = d * d
     size = m + m * 2 * d
 
     def objective(theta: np.ndarray) -> float:
-        return -hsw_chi(op, _theta_to_ensemble(theta, d))
+        w, vecs = _theta_to_ensemble(theta, d)
+        return -_holevo(w, _unit_outputs(op, vecs))
 
     canonical = np.zeros(size)
-    block = canonical[m:].reshape(m, 2 * d)
-    for j in range(m):
-        block[j, j % d] = 1.0
+    canonical[m:].reshape(m, 2 * d)[:, :d] = np.eye(d)[np.arange(m) % d]
 
     best_val = -math.inf
     best_theta = canonical
@@ -182,7 +186,8 @@ def hsw_capacity_estimate(op: QuantumChannel, restarts: int = 16, tol: float = 1
         if -res.fun > best_val:
             best_val = -res.fun
             best_theta = res.x
-    return best_val, _theta_to_ensemble(best_theta, d)
+    w, vecs = _theta_to_ensemble(best_theta, d)
+    return best_val, list(zip(w.tolist(), vecs))
 
 
 def square_root_measurement(p_global: np.ndarray,

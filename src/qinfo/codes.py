@@ -32,12 +32,12 @@ def bits(value) -> np.ndarray:
     """Coerce a 0/1 sequence (or "0110"-style string) to a uint8 vector."""
     if isinstance(value, str):
         value = [int(c) for c in value]
-    b = np.asarray(value, dtype=np.uint8)
+    b = np.asarray(value, dtype=float)
     if b.ndim != 1 or b.size == 0:
         raise ValueError("bit string must be a nonempty vector")
-    if np.any(b > 1):
+    if not np.all((b == 0.0) | (b == 1.0)):
         raise ValueError("bits must be 0 or 1")
-    return b
+    return b.astype(np.uint8)
 
 
 def bits_to_str(b: np.ndarray) -> str:
@@ -258,8 +258,7 @@ def _check_radius(code: LinearCode, t: int) -> None:
         raise ValueError(f"t={t} exceeds the correction radius of d={code.distance}")
 
 
-def decode(code: LinearCode, received, t: int,
-           table: dict[bytes, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+def decode(code: LinearCode, received, t: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Nearest-codeword decoding within radius t via syndrome lookup.
 
     Returns ``(codeword, error_pattern)`` or None when no pattern of weight
@@ -268,10 +267,7 @@ def decode(code: LinearCode, received, t: int,
     """
     _check_radius(code, t)
     y = bits(received)
-    s = syndrome(code, y).tobytes()
-    if table is None:
-        table = syndrome_table(code, t)
-    e = table.get(s)
+    e = syndrome_table(code, t).get(syndrome(code, y).tobytes())
     if e is None:
         return None
     return y ^ e, e
@@ -450,6 +446,13 @@ def coset_key(code: CssCode, v) -> np.ndarray:
     return _coset_keys(code, v[None, :])[0]
 
 
+def _check_stacked_decode(code: CssCode) -> None:
+    """Raise ValueError unless _decode_c1 can serve the code: 2t + 1 <= d1, C1 <= 64 checks."""
+    _check_radius(code.c1, code.t)
+    if code.c1.parity_check.shape[0] > 64:
+        raise ValueError("stacked syndrome decoding needs n - k <= 64 for C1")
+
+
 def _decode_c1(code: CssCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """decode(C1, word, t) of each row of a (B, n) uint8 stack.
 
@@ -460,9 +463,7 @@ def _decode_c1(code: CssCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray
     h = code.c1.parity_check
     weights = np.uint64(1) << np.arange(h.shape[0] - 1, -1, -1, dtype=np.uint64)
     if code._lookup_cache is None:
-        _check_radius(code.c1, code.t)
-        if h.shape[0] > 64:
-            raise ValueError("stacked syndrome decoding needs n - k <= 64 for C1")
+        _check_stacked_decode(code)
         patterns = np.array(list(syndrome_table(code.c1, code.t).values()), dtype=np.uint8)
         keys = (patterns @ h.T % 2).astype(np.uint64) @ weights
         order = np.argsort(keys)

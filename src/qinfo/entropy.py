@@ -16,9 +16,12 @@ import numpy as np
 from .states import TOL_NORM
 
 
-def _check_finite(t: np.ndarray) -> None:
+def _check_entries(t: np.ndarray, what: str) -> None:
+    """Reject non-finite and negative entries; ``what`` names one entry."""
     if not np.isfinite(t).all():
         raise ValueError("probabilities must be finite")
+    if t.min() < -TOL_NORM:
+        raise ValueError(f"negative {what} {float(t.min())}")
 
 
 def validate_dist(p) -> np.ndarray:
@@ -26,21 +29,14 @@ def validate_dist(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("distribution must be a nonempty vector")
-    _check_finite(p)
-    if p.min() < -TOL_NORM:
-        raise ValueError(f"negative probability {float(p.min())}")
-    if abs(p.sum() - 1.0) > TOL_NORM:
-        raise ValueError(f"probabilities sum to {float(p.sum())}, expected 1")
-    return np.clip(p, 0.0, None)
+    return validate_joint(p)
 
 
 def validate_joint(table) -> np.ndarray:
     t = np.asarray(table, dtype=float)
     if t.ndim < 1:
         raise ValueError("joint distribution must have at least one axis")
-    _check_finite(t)
-    if t.min() < -TOL_NORM:
-        raise ValueError(f"negative probability {float(t.min())}")
+    _check_entries(t, "probability")
     if abs(t.sum() - 1.0) > TOL_NORM:
         raise ValueError(f"probabilities sum to {float(t.sum())}, expected 1")
     return np.clip(t, 0.0, None)
@@ -153,9 +149,7 @@ def validate_stochastic(t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim != 2:
         raise ValueError("transition matrix must be two dimensional")
-    _check_finite(t)
-    if t.min() < -TOL_NORM:
-        raise ValueError(f"negative transition probability {float(t.min())}")
+    _check_entries(t, "transition probability")
     if np.max(np.abs(t.sum(axis=1) - 1.0)) > TOL_NORM:
         raise ValueError("transition rows must each sum to 1")
     return np.clip(t, 0.0, None)

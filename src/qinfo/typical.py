@@ -160,6 +160,8 @@ class ShannonScheme:
     """
 
     def __init__(self, model: SourceModel, rate: float):
+        if not math.isfinite(rate):
+            raise ValueError(f"rate must be finite, got {rate}")
         if rate * model.block_length < 1.0:
             raise ValueError("rate times block length must be at least 1 bit")
         self.model = model

@@ -19,7 +19,17 @@ from qinfo.bb84 import (
     run_batch,
     run_bb84,
 )
-from qinfo.codes import CssCode, LinearCode, coset_key, decode, encode, repetition_code, steane_css
+from qinfo.codes import (
+    CssCode,
+    LinearCode,
+    coset_key,
+    decode,
+    dual_code,
+    encode,
+    hamming_7_4,
+    repetition_code,
+    steane_css,
+)
 from qinfo.rng import stream
 from qinfo.states import (
     KET_0,
@@ -195,6 +205,17 @@ class TestProtocolRuns:
     def test_key_block_shorter_than_code_block_rejected(self):
         with pytest.raises(ValueError, match="shorter than one code block"):
             config(n=6, threshold=0)
+
+    @pytest.mark.parametrize("code,fragment", [
+        (CssCode(hamming_7_4(), dual_code(hamming_7_4()), t=2), "correction radius"),
+        (CssCode(repetition_code(66), LinearCode(np.zeros((66, 0), dtype=np.uint8)), t=1),
+         "n - k <= 64"),
+    ], ids=["radius", "65-checks"])
+    def test_code_the_stacked_decoder_cannot_serve_rejected(self, code, fragment):
+        # a batch whose trials all abort at the check never reaches
+        # reconciliation, so the config itself must refuse the code
+        with pytest.raises(ValueError, match=fragment):
+            ProtocolConfig(n=128, delta=1.0, threshold=0, code=code, master_seed=0)
 
     def test_sift_statistics(self):
         t = run_bb84(config(n=256), ChannelModel("ideal"))

@@ -5,6 +5,8 @@ import pytest
 
 from qinfo.capacity import (
     ConvergenceError,
+    _theta_to_ensemble,
+    _unit_outputs,
     bec,
     bsc,
     channel_capacity,
@@ -16,6 +18,7 @@ from qinfo.capacity import (
     square_root_measurement,
 )
 from qinfo.entropy import binary_entropy, random_dist
+from qinfo.qentropy import _holevo
 from qinfo.states import (
     KET_0,
     KET_1,
@@ -149,6 +152,27 @@ class TestHswEstimate:
         assert [p.hex() for p, _ in ens] == [
             "0x1.0000003c81074p-2", "0x1.0000008667411p-2",
             "0x1.0000001ad6e28p-2", "0x1.fffffe4481aa1p-3"]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_objective_equals_validated_chi(self, d, rng):
+        # the search scores theta with the trusted kernels; hsw_chi of the
+        # same ensemble as pairs must agree bit for bit, fallback rows included
+        op = random_channel(d, d, rng)
+        m = d * d
+        for i in range(500):
+            theta = rng.normal(size=m + m * 2 * d) * 10.0 ** rng.integers(-3, 3)
+            dead = int(rng.integers(0, m))
+            if i % 4 == 0:
+                theta[m + dead * 2 * d: m + (dead + 1) * 2 * d] = 0.0
+            w, vecs = _theta_to_ensemble(theta, d)
+            if i % 4 == 0:
+                assert np.array_equal(vecs[dead], ket(dead % d, d))
+            pairs = list(zip(w.tolist(), vecs))
+            assert -_holevo(w, _unit_outputs(op, vecs)) == -hsw_chi(op, pairs)
+
+    def test_negative_restarts_rejected(self):
+        with pytest.raises(ValueError, match="restarts"):
+            hsw_capacity_estimate(identity_channel(2), restarts=-1)
 
     def test_monotone_in_restarts(self):
         ch = depolarizing_channel(0.3)

@@ -240,6 +240,10 @@ class TestBadInput:
                      "finite", id="channel-null"),
         pytest.param(["compress", "--probs", "[0.5,0.5]", "--blocks", "4", "--eps", "nan"], None,
                      "epsilon", id="compress-eps-nan"),
+        pytest.param(["compress", "--probs", "[0.5,0.5]", "--blocks", "4", "--eps", "0.3",
+                      "--rate", "inf"], None, "rate must be finite", id="compress-rate-inf"),
+        pytest.param(["compress", "--probs", "[0.5,0.5]", "--blocks", "4", "--eps", "0.3",
+                      "--rate", "nan"], None, "rate must be finite", id="compress-rate-nan"),
         pytest.param(["capacity", "--channel", "{bad}", "--tol", "0"],
                      {"rows": [[0.89, 0.11], [0.11, 0.89]]}, "best 0.5000840",
                      id="capacity-no-convergence"),

@@ -58,6 +58,21 @@ class TestHammingGeometry:
         with pytest.raises(ValueError):
             hamming_distance("00", "000")
 
+    @pytest.mark.parametrize("value", [[0.5, 1.7], [0.5], [-1], [2], [256], "0120", [1, np.nan]],
+                             ids=["fractions", "half", "negative", "two", "byte-wrap", "string",
+                                  "nan"])
+    def test_bits_rejects_anything_but_0_and_1(self, value):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            bits(value)
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            hamming_distance(value, [0] * len(value))
+
+    def test_bits_accepts_exact_0_and_1_of_any_type(self):
+        for value in ([0, 1, 1], [0.0, 1.0, 1.0], [False, True, True], "011",
+                      np.array([0, 1, 1], dtype=np.int64)):
+            b = bits(value)
+            assert b.dtype == np.uint8 and b.tolist() == [0, 1, 1]
+
 
 class TestGf2:
     def test_rank_and_nullspace(self, rng):
