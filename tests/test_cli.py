@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -205,6 +206,20 @@ class TestQkdCommand:
         assert code == 0
         data = json.loads(path.read_text())
         assert len(data) == 2 and not data[0]["aborted"]
+
+    def test_audit_run_is_byte_identical(self, tmp_path):
+        # the qkd-audit shape: full interception on Steane, n=512, both outputs
+        (tmp_path / "eve.json").write_text(json.dumps({
+            "n": 512, "delta": 1.0, "threshold": 76, "code": "steane",
+            "channel": {"kind": "intercept_resend", "param": 1.0}}))
+        out, transcripts = tmp_path / "trials.csv", tmp_path / "transcripts.json"
+        assert main(["qkd", "--config", str(tmp_path / "eve.json"), "--seed", "6",
+                     "--trials", "20", "--out", str(out),
+                     "--transcripts", str(transcripts)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "859f4a2cd3c349f356aca46d64f0831ad7787a3d7531ed5403cfa3a1b00f21bb")
+        assert hashlib.sha256(transcripts.read_bytes()).hexdigest() == (
+            "8aae9dc87cd3f3491e84e340e9229c7d67d3eefab08b235d1c1ce45c321a4f27")
 
 
 QKD_IDEAL = {"n": 64, "channel": {"kind": "ideal"}}
