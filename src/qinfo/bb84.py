@@ -1,11 +1,13 @@
 """Monte-Carlo simulator of BB84 key distribution with CSS reconciliation.
 
 One protocol run follows the classical-computation variant end to end: random
-bits are basis-encoded into qubits, pushed one by one through a noise model
-(each qubit carried as its own 2x2 density matrix, never a joint state),
+bits are basis-encoded into qubits, pushed one by one through a noise model,
 measured by the receiver in random bases, sifted, spot-checked against a
 disagreement threshold, reconciled blockwise with the C1 code of a CSS pair,
-and privacy-amplified down to the coset key of C2 in C1.
+and privacy-amplified down to the coset key of C2 in C1.  Every signal is one
+of four states, so a qubit travels as its index 2*basis + bit (never a joint
+state): the Born probabilities come from a 4 x 2 table, one _born_p0 call on
+the 8 transported signal matrices, and an intercept-resend Eve swaps indices.
 
 Aborts are ordinary outcomes recorded on the transcript, not errors.  All
 randomness comes from named per-purpose streams derived from the master seed,
@@ -151,26 +153,32 @@ def measure_qubit(rho, basis: int, rng: np.random.Generator) -> int:
     return 0 if rng.random() < p0 else 1
 
 
-def _measure_batch(rhos: np.ndarray, bases: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    p0 = _born_p0(rhos, bases)
+def _p0_table(ch: ChannelModel) -> np.ndarray:
+    """p0[state, basis] of the four signals after transport, state = 2*basis + bit.
+
+    One _born_p0 call on the 8-row batch, so each entry equals a full stack's.
+    """
+    rhos = STATE_MATRICES.reshape(4, 2, 2)
+    if ch.kind == "depolarizing":
+        rhos = (1.0 - ch.param) * rhos + (ch.param / 2.0) * ID2
+    return _born_p0(np.repeat(rhos, 2, axis=0), np.tile([0, 1], 4)).reshape(4, 2)
+
+
+def _draw(p0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(p0.size) >= p0).astype(np.uint8)
 
 
-def _transmit(rhos: np.ndarray, ch: ChannelModel, seed: int):
-    """Send the qubit states through the channel; returns (states, eve record)."""
-    if ch.kind == "ideal":
-        return rhos, None
-    if ch.kind == "depolarizing":
-        f = ch.param
-        return (1.0 - f) * rhos + (f / 2.0) * ID2[None, :, :], None
-    count = rhos.shape[0]
+def _transport(states: np.ndarray, bases: np.ndarray, ch: ChannelModel, seed: int):
+    """Transport signal-state indices; returns (p0 in the given bases, Eve's fields)."""
+    table = _p0_table(ch)
+    if ch.kind != "intercept_resend":
+        return table[states, bases], {}
+    count = states.size
     mask = stream(seed, "eve-mask").random(count) < ch.param
     eve_bases = stream(seed, "eve-bases").integers(0, 2, count).astype(np.uint8)
-    eve_bits = _measure_batch(rhos, eve_bases, stream(seed, "eve-measure"))
-    out = rhos.copy()
-    out[mask] = STATE_MATRICES[eve_bases[mask], eve_bits[mask]]
-    return out, (mask, eve_bases, eve_bits)
+    eve_bits = _draw(table[states, eve_bases], stream(seed, "eve-measure"))
+    states = np.where(mask, 2 * eve_bases + eve_bits, states)
+    return table[states, bases], dict(eve_mask=mask, eve_bases=eve_bases, eve_bits=eve_bits)
 
 
 def reconcile_and_amplify(code: CssCode, x_alice: np.ndarray, x_bob: np.ndarray,
@@ -227,22 +235,16 @@ def run_bb84(cfg: ProtocolConfig, ch: ChannelModel) -> ProtocolTranscript:
     n_blocks = n // code.n
     msgs = stream(seed, "codewords").integers(0, 2, (n_blocks, code.c1.k)).astype(np.uint8)
 
-    rhos = STATE_MATRICES[alice_bases, alice_bits]
-    rhos, eve = _transmit(rhos, ch, seed)
-    bob_bits = _measure_batch(rhos, bob_bases, stream(seed, "bob-measure"))
+    p0, eve = _transport(2 * alice_bases + alice_bits, bob_bases, ch, seed)
+    bob_bits = _draw(p0, stream(seed, "bob-measure"))
 
     sift_mask = alice_bases == bob_bases
     sifted = np.nonzero(sift_mask)[0]
-    eve_fields = dict(
-        eve_mask=eve[0] if eve else None,
-        eve_bases=eve[1] if eve else None,
-        eve_bits=eve[2] if eve else None,
-    )
     base = dict(
         config_seed=seed,
         alice_bits=alice_bits, alice_bases=alice_bases,
         bob_bases=bob_bases, bob_bits=bob_bits, sift_mask=sift_mask,
-        **eve_fields,
+        **eve,
     )
     empty = np.zeros(0, dtype=np.uint8)
 

@@ -3,11 +3,11 @@
 Bit strings are numpy uint8 vectors of 0/1.  A generator matrix G is n x k and
 acts on column messages (codeword = G m mod 2); the parity check H is
 (n - k) x n with H G = 0.  Decoding uses an exhaustive syndrome lookup table
-over error patterns of weight <= t, so it is exact at desk scale (n <= 24).
-For BB84 reconciliation a CssCode caches that table for C1 as sorted integer
-syndromes (C1 with at most 64 checks), so a (B, n) stack of words decodes with
-one searchsorted, and coset keys of a stack come from one product with the
-cached G1 left inverse; decode and coset_key stay the single-word forms.
+over error patterns of weight <= t, cached on the code per t, so it is exact
+at desk scale (n <= 24).  For BB84 reconciliation a CssCode also caches C1's
+table as sorted integer syndromes (at most 64 checks), so a (B, n) stack of
+words decodes with one searchsorted, and coset keys of a stack come from one
+product with the cached G1 left inverse; decode and coset_key serve one word.
 
 The CSS section builds quantum codes from a nested classical pair C2 within C1
 and verifies the correction procedure with a dense statevector simulation
@@ -41,19 +41,16 @@ def bits(value) -> np.ndarray:
 
 
 def bits_to_str(b: np.ndarray) -> str:
-    return "".join(str(int(x)) for x in b)
+    return (np.asarray(b, np.uint8) + 48).tobytes().decode("ascii")
 
 
 def bits_to_index(b: np.ndarray) -> int:
     """Big-endian integer of a bit string (bit 0 most significant)."""
-    idx = 0
-    for x in b:
-        idx = (idx << 1) | int(x)
-    return idx
+    return int.from_bytes(np.packbits(b).tobytes(), "big") >> (-len(b) % 8)
 
 
 def index_to_bits(idx: int, n: int) -> np.ndarray:
-    return np.array([(idx >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
+    return np.unpackbits(np.frombuffer(int(idx).to_bytes((n + 7) // 8, "big"), np.uint8))[-n % 8:]
 
 
 def hamming_distance(a, b) -> int:
@@ -169,6 +166,7 @@ class LinearCode:
         h.setflags(write=False)
         self.generator = g
         self.parity_check = h
+        self._syndrome_tables = {}   # t -> syndrome_table(self, t), filled by decode
         if k == 0:
             self.distance = None
         elif k <= 16:
@@ -267,10 +265,12 @@ def decode(code: LinearCode, received, t: int) -> tuple[np.ndarray, np.ndarray] 
     """
     _check_radius(code, t)
     y = bits(received)
-    e = syndrome_table(code, t).get(syndrome(code, y).tobytes())
+    if t not in code._syndrome_tables:
+        code._syndrome_tables[t] = syndrome_table(code, t)
+    e = code._syndrome_tables[t].get(syndrome(code, y).tobytes())
     if e is None:
         return None
-    return y ^ e, e
+    return y ^ e, e.copy()
 
 
 def dual_code(code: LinearCode) -> LinearCode:

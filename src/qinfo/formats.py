@@ -107,7 +107,7 @@ def code_from_text(text: str) -> LinearCode:
 
 def transcript_to_json(t: ProtocolTranscript) -> dict:
     def s(b):
-        return None if b is None else bits_to_str(np.asarray(b).astype(np.uint8))
+        return None if b is None else bits_to_str(b)
 
     return {
         "config_seed": t.config_seed,
@@ -118,8 +118,8 @@ def transcript_to_json(t: ProtocolTranscript) -> dict:
         "bob_bases": s(t.bob_bases),
         "bob_bits": s(t.bob_bits),
         "sift_mask": s(t.sift_mask),
-        "check_indices": [int(i) for i in t.check_indices],
-        "keep_indices": [int(i) for i in t.keep_indices],
+        "check_indices": t.check_indices.tolist(),
+        "keep_indices": t.keep_indices.tolist(),
         "disagreements": t.disagreements,
         "qber_estimate": None if np.isnan(t.qber_estimate) else t.qber_estimate,
         "announced_offset": s(t.announced_offset),

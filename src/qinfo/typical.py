@@ -64,11 +64,7 @@ class QuantumSourceModel:
 
 def sequence_prob(seq, probs) -> float:
     """Product probability of an i.i.d. symbol sequence."""
-    p = np.asarray(probs, dtype=float)
-    out = 1.0
-    for s in seq:
-        out *= p[s]
-    return out
+    return math.prod(map(list(probs).__getitem__, seq), start=1.0)
 
 
 def is_typical(seq, model: SourceModel) -> bool:

@@ -7,9 +7,12 @@ from qinfo import formats
 from qinfo.bb84 import (
     COMPUTATIONAL,
     HADAMARD_BASIS,
+    STATE_MATRICES,
     ChannelModel,
     ProtocolConfig,
+    _born_p0,
     _reconcile_blocks,
+    _transport,
     bb84_state,
     eve_holevo_bound,
     eve_information_estimate,
@@ -32,6 +35,7 @@ from qinfo.codes import (
 )
 from qinfo.rng import stream
 from qinfo.states import (
+    ID2,
     KET_0,
     KET_1,
     KET_MINUS,
@@ -317,6 +321,47 @@ class TestBatchTransportAgreesWithSingleQubit:
         single = np.array([measure_qubit(DensityMatrix(rhos[i]), int(meas[i]), rng2)
                            for i in range(6)], dtype=np.uint8)
         assert np.array_equal(batch, single)
+
+
+def density_matrix_transport(bits, bases, meas, ch, seed):
+    """Reference transport on a (count, 2, 2) stack of signal density matrices.
+
+    Applies the channel affinely to every qubit's matrix (intercept-resend
+    measures in Eve's bases from her three streams and resends her states),
+    then takes the Born rule on the full stack.  Returns (p0 in the
+    measurement bases, Eve's transcript fields).
+    """
+    rhos = STATE_MATRICES[bases, bits]
+    if ch.kind == "depolarizing":
+        rhos = (1.0 - ch.param) * rhos + (ch.param / 2.0) * ID2[None, :, :]
+    eve = {}
+    if ch.kind == "intercept_resend":
+        count = rhos.shape[0]
+        mask = stream(seed, "eve-mask").random(count) < ch.param
+        eve_bases = stream(seed, "eve-bases").integers(0, 2, count).astype(np.uint8)
+        eve_p0 = _born_p0(rhos, eve_bases)
+        eve_bits = (stream(seed, "eve-measure").random(count) >= eve_p0).astype(np.uint8)
+        rhos = rhos.copy()
+        rhos[mask] = STATE_MATRICES[eve_bases[mask], eve_bits[mask]]
+        eve = dict(eve_mask=mask, eve_bases=eve_bases, eve_bits=eve_bits)
+    return _born_p0(rhos, meas), eve
+
+
+class TestIndexTransportMatchesDensityMatrices:
+    @pytest.mark.parametrize("kind,param", [
+        ("ideal", 0.0), ("depolarizing", 0.1), ("depolarizing", 0.137),
+        ("intercept_resend", 0.3), ("intercept_resend", 1.0),
+    ])
+    @pytest.mark.parametrize("count", [1, 7, 2304])
+    def test_bit_for_bit(self, kind, param, count):
+        bits, bases, meas = stream(count, "transport").integers(0, 2, (3, count)).astype(np.uint8)
+        ch = ChannelModel(kind, param)
+        p0, eve = _transport(2 * bases + bits, meas, ch, 5)
+        ref_p0, ref_eve = density_matrix_transport(bits, bases, meas, ch, 5)
+        assert p0.tobytes() == ref_p0.tobytes()
+        assert eve.keys() == ref_eve.keys()
+        for key, want in ref_eve.items():
+            assert eve[key].dtype == want.dtype and np.array_equal(eve[key], want)
 
 
 # sha256 of formats.dump_json over four run_batch transcripts, Steane code,

@@ -13,6 +13,7 @@ from qinfo.codes import (
     apply_phase_flips,
     bits,
     bits_to_index,
+    bits_to_str,
     canonical_coset_rep,
     code_bounds,
     coset_key,
@@ -72,6 +73,55 @@ class TestHammingGeometry:
                       np.array([0, 1, 1], dtype=np.int64)):
             b = bits(value)
             assert b.dtype == np.uint8 and b.tolist() == [0, 1, 1]
+
+
+def per_bit_str(b) -> str:
+    return "".join(str(int(x)) for x in b)
+
+
+def per_bit_index(b) -> int:
+    idx = 0
+    for x in b:
+        idx = (idx << 1) | int(x)
+    return idx
+
+
+def per_bit_bits(idx: int, n: int) -> np.ndarray:
+    return np.array([(idx >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
+
+
+class TestBitCodec:
+    """The vectorised codec against the per-bit loops it replaced."""
+
+    @pytest.mark.parametrize("make", [
+        lambda r: r.integers(0, 2, 2560).astype(np.uint8),
+        lambda r: r.integers(0, 2, 300).astype(bool),
+        lambda r: r.integers(0, 2, 300).astype(np.int64),
+        lambda r: hamming_7_4().generator[:, 2],
+        lambda r: np.zeros(0, dtype=np.uint8),
+    ], ids=["uint8", "bool", "int64", "generator-column", "empty"])
+    def test_bits_to_str_matches_per_bit_join(self, rng, make):
+        b = make(rng)
+        assert bits_to_str(b) == per_bit_str(b)
+
+    def test_generator_column_is_a_strided_view(self):
+        assert not hamming_7_4().generator[:, 2].flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 100])
+    def test_index_round_trips(self, rng, n):
+        for b in [np.zeros(n, np.uint8), np.ones(n, np.uint8),
+                  *rng.integers(0, 2, (50, n)).astype(np.uint8)]:
+            idx = bits_to_index(b)
+            assert type(idx) is int and idx == per_bit_index(b)
+            assert np.array_equal(index_to_bits(idx, n), b)
+            assert index_to_bits(idx, n).dtype == np.uint8
+        assert bits_to_index(np.ones(n, np.uint8)) == 2 ** n - 1
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_index_to_bits_matches_per_bit_form_on_every_index(self, n):
+        for idx in range(2 ** n):
+            assert np.array_equal(index_to_bits(idx, n), per_bit_bits(idx, n))
+        assert bits_to_index(np.zeros(n, np.uint8)) == 0
 
 
 class TestGf2:
@@ -178,6 +228,26 @@ class TestDecode:
         table = syndrome_table(c, 1)
         e = table[syndrome(c, "100").tobytes()]
         assert np.array_equal(e, bits("100"))
+
+    def test_decode_builds_its_table_once_per_radius(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(codes, "syndrome_table",
+                            lambda c, t: built.append(t) or syndrome_table(c, t))
+        c = hamming_7_4()
+        for word in ("1000000", "0000001", "1000000"):
+            assert decode(c, word, 1)[0].sum() == 0
+        assert built == [1]
+        assert decode(c, "1000000", 0) is None
+        assert built == [1, 0]
+
+    def test_mutated_pattern_cannot_corrupt_the_next_decode(self):
+        c = hamming_7_4()
+        fixed, e = decode(c, "0100000", 1)
+        fixed[:] = 1
+        e[:] = 1
+        fixed, e = decode(c, "0100000", 1)
+        assert np.array_equal(e, bits("0100000"))
+        assert np.array_equal(fixed, np.zeros(7, dtype=np.uint8))
 
     def test_stacked_decode_builds_its_table_once(self, monkeypatch):
         built = []

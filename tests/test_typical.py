@@ -147,6 +147,18 @@ class TestShannonScheme:
         s = shannon_scheme(SourceModel(probs, n, 0.25), rate)
         assert s.reliability == sum(sequence_prob(seq, probs) for seq in s.included)
 
+    def test_sequence_prob_equals_the_running_product(self, rng):
+        for _ in range(5000):
+            a = int(rng.integers(1, 5))
+            probs = tuple(float(p) for p in rng.dirichlet(np.ones(a)))
+            seq = tuple(int(s) for s in rng.integers(0, a, int(rng.integers(0, 13))))
+            expected = 1.0
+            for s in seq:
+                expected *= np.asarray(probs)[s]
+            got = sequence_prob(seq, probs)
+            assert type(got) is float and got == expected
+        assert type(sequence_prob((), SKEWED)) is float
+
     def test_overflow_at_high_rate_reported(self):
         # huge epsilon floods the typical set past the index budget
         with pytest.raises(CapacityError):
