@@ -113,15 +113,15 @@ class TestBitCodec:
                   *rng.integers(0, 2, (50, n)).astype(np.uint8)]:
             idx = bits_to_index(b)
             assert type(idx) is int and idx == per_bit_index(b)
-            assert np.array_equal(index_to_bits(idx, n), b)
-            assert index_to_bits(idx, n).dtype == np.uint8
+            back = index_to_bits(idx, n)
+            assert back.dtype == np.uint8 and np.array_equal(back, b)
         assert bits_to_index(np.ones(n, np.uint8)) == 2 ** n - 1
 
     @pytest.mark.parametrize("n", range(0, 11))
-    def test_index_to_bits_matches_per_bit_form_on_every_index(self, n):
+    def test_every_index_matches_the_per_bit_forms(self, n):
         for idx in range(2 ** n):
             assert np.array_equal(index_to_bits(idx, n), per_bit_bits(idx, n))
-        assert bits_to_index(np.zeros(n, np.uint8)) == 0
+            assert bits_to_index(per_bit_bits(idx, n)) == idx
 
 
 class TestGf2:
