@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from qinfo.states import (
     KET_0,
     KET_1,
     KET_PLUS,
+    QuantumChannel,
     depolarizing_channel,
     identity_channel,
     ket,
@@ -30,6 +32,19 @@ from qinfo.states import (
     random_channel,
     random_pure_state,
 )
+
+
+def weyl_depolarizing(f: float, d: int = 3) -> QuantumChannel:
+    """rho -> (1-f) rho + f I/d from the d^2 Weyl operators X^a Z^b."""
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    kraus = []
+    for a in range(d):
+        for b in range(d):
+            weight = 1.0 - f + f / d ** 2 if a == b == 0 else f / d ** 2
+            kraus.append(np.sqrt(weight) * np.linalg.matrix_power(shift, a)
+                         @ np.linalg.matrix_power(clock, b))
+    return QuantumChannel(kraus)
 
 
 class TestChannelMutualInfo:
@@ -152,6 +167,32 @@ class TestHswEstimate:
         assert [p.hex() for p, _ in ens] == [
             "0x1.0000003c81074p-2", "0x1.0000008667411p-2",
             "0x1.0000001ad6e28p-2", "0x1.fffffe4481aa1p-3"]
+
+    # identity(2) has pure, rank-deficient outputs (acceptance criterion 8's
+    # call); the 9-Kraus qutrit channel has full-rank 3x3 outputs
+    @pytest.mark.parametrize("make,restarts,seed,chi_hex,weight_hexes,vecs_sha256", [
+        pytest.param(
+            lambda: identity_channel(2), 1, 5, "0x1.0000000000004p+0",
+            ["0x1.ffffffef51591p-3", "0x1.00000000491f6p-2",
+             "0x1.0000001045253p-2", "0x1.ffffffef921ddp-3"],
+            "2add603f3c6c6b74d9faab3133a7a949fcae5faecfcae6f7805a545979e9c9c7",
+            id="identity-2"),
+        pytest.param(
+            lambda: weyl_depolarizing(0.3), 0, 0, "0x1.53793ee25b9dfp-1",
+            ["0x1.c71c71a7b57edp-4", "0x1.c71c71e7ad367p-4", "0x1.c71c71e4945c1p-4",
+             "0x1.c71c71a1849e9p-4", "0x1.c71c71906a199p-4", "0x1.c71c71dbedd0ep-4",
+             "0x1.c71c718ebf3ffp-4", "0x1.c71c721570f1dp-4", "0x1.c71c71d9fc335p-4"],
+            "0b67f28afecfcdd73ab0fe28d9894cb420a9ebbaa8cfe90abb47fa5faa93b65a",
+            id="qutrit-weyl-depolarizing-0.3"),
+    ])
+    def test_golden_bits(self, make, restarts, seed, chi_hex, weight_hexes, vecs_sha256):
+        # captured before the objective kernels were restacked; every bit of
+        # (chi, ensemble) must survive any optimisation of the objective
+        chi, ens = hsw_capacity_estimate(make(), restarts=restarts, seed=seed)
+        assert chi.hex() == chi_hex
+        assert [p.hex() for p, _ in ens] == weight_hexes
+        vecs = np.stack([v for _, v in ens])
+        assert hashlib.sha256(vecs.tobytes()).hexdigest() == vecs_sha256
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_objective_equals_validated_chi(self, d, rng):
