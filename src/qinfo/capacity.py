@@ -143,9 +143,13 @@ def _theta_to_ensemble(theta: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarra
     w /= w.sum()
     rest = theta[m:].reshape(m, 2 * d)
     vecs = rest[:, :d] + 1j * rest[:, d:]
-    dead = _row_norms(vecs) < 1e-12
-    vecs[dead] = np.eye(d)[np.arange(m)[dead] % d]
-    return w, vecs / _row_norms(vecs)[:, None]
+    norms = _row_norms(vecs)
+    dead = norms < 1e-12
+    if dead.any():
+        # a basis row has norm exactly 1.0, so one norm array serves both uses
+        vecs[dead] = np.eye(d)[np.arange(m)[dead] % d]
+        norms[dead] = 1.0
+    return w, vecs / norms[:, None]
 
 
 def hsw_capacity_estimate(op: QuantumChannel, restarts: int = 16, tol: float = 1e-8,

@@ -112,18 +112,39 @@ def _validate_ensemble(ensemble: Ensemble) -> tuple[np.ndarray, list[DensityMatr
 
 
 def _mix(probs: np.ndarray, mats) -> np.ndarray:
-    """sum_x p_x mats[x], accumulated in member order so results are reproducible."""
-    return sum(p * m for p, m in zip(probs, mats))
+    """sum_x p_x mats[x], accumulated from zero in member order so results are reproducible."""
+    mats = np.asarray(mats)
+    out = np.zeros(mats.shape[1:], dtype=complex)
+    for term in probs[:, None, None] * mats:
+        out += term
+    return out
 
 
 def _holevo(probs: np.ndarray, mats: np.ndarray) -> float:
-    """chi of trusted member density matrices stacked as (m, d, d)."""
-    spectra = np.linalg.eigvalsh(np.concatenate((_mix(probs, mats)[None], mats)))
-    chi = centropy._neg_sum_plogp(clamp_spectrum(spectra[0, ::-1]))
-    for p, w in zip(probs, spectra[1:]):
+    """chi of trusted member density matrices stacked as (m, d, d).
+
+    The (m+1, d) spectrum stack of the mixture and the members is clamped
+    once, and ``chi -= p * S`` runs in member order, skipping ``p == 0``.
+    The result is bit-identical to taking ``_neg_sum_plogp`` of each clamped,
+    descending row.  A descending clamped row keeps its zeros at the end, and
+    numpy sums a row of fewer than 8 entries in sequence, so the masked
+    ``np.sum(..., axis=1)`` adds the same terms in the same order plus
+    trailing zeros.  Rows of 8 or more entries are summed pairwise in blocks,
+    where the inserted zeros would move the block boundaries, so those keep
+    the per-row sum.
+    """
+    spectra = clamp_spectrum(
+        np.linalg.eigvalsh(np.concatenate((_mix(probs, mats)[None], mats)))[:, ::-1])
+    if spectra.shape[1] < 8:
+        terms = spectra * np.log2(np.where(spectra > 0.0, spectra, 1.0))
+        entropies = (-np.sum(terms, axis=1)).tolist()
+    else:
+        entropies = [centropy._neg_sum_plogp(w) for w in spectra]
+    chi = entropies[0]
+    for p, s in zip(probs.tolist(), entropies[1:]):
         if p > 0.0:
-            chi -= p * centropy._neg_sum_plogp(clamp_spectrum(w[::-1]))
-    return float(chi)
+            chi -= p * s
+    return chi
 
 
 def ensemble_state(ensemble: Ensemble) -> DensityMatrix:

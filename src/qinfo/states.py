@@ -263,43 +263,64 @@ class QuantumChannel:
 
     ``kraus`` is a list of dim_out x dim_in matrices with
     ``sum_i E_i^dagger E_i == I``; the channel acts as
-    ``rho -> sum_i E_i rho E_i^dagger``.
+    ``rho -> sum_i E_i rho E_i^dagger``.  The operators are stacked once, with
+    their daggers, into read-only (r, dim_out, dim_in) arrays for ``apply_mat``.
     """
 
-    __slots__ = ("kraus",)
+    __slots__ = ("kraus", "_stack", "_stack_dag")
 
     def __init__(self, kraus: list[np.ndarray]):
-        ops = [np.array(k, dtype=complex) for k in kraus]
+        ops = [np.asarray(k, dtype=complex) for k in kraus]
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         din = ops[0].shape[1]
+        if any(k.shape[1] != din for k in ops):
+            raise ValueError("Kraus operators have inconsistent input dimension")
+        if any(k.shape != ops[0].shape for k in ops):
+            raise ValueError("Kraus operators have inconsistent output dimension")
+        stack = np.array(ops)
         acc = np.zeros((din, din), dtype=complex)
-        for k in ops:
-            if k.shape[1] != din:
-                raise ValueError("Kraus operators have inconsistent input dimension")
+        for k in stack:
             acc += dag(k) @ k
         if not np.max(np.abs(acc - np.eye(din))) <= TOL_UNIT:
             raise ValueError("Kraus operators are not trace preserving")
-        for k in ops:
-            k.setflags(write=False)
-        self.kraus = ops
+        stack.setflags(write=False)
+        # each dagger is a transposed view of a conjugate, laid out as dag(k)
+        stack_dag = np.conj(stack).transpose(0, 2, 1)
+        stack_dag.setflags(write=False)
+        self.kraus = list(stack)
+        self._stack = stack
+        self._stack_dag = stack_dag
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self._stack.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self._stack.shape[1]
 
     def __call__(self, rho) -> DensityMatrix:
         return apply_channel(rho, self)
 
     def apply_mat(self, mat: np.ndarray) -> np.ndarray:
-        """sum_i E_i mat E_i^dagger on a matrix or a stack of matrices (..., d, d)."""
-        out = np.zeros(np.shape(mat)[:-2] + (self.dim_out, self.dim_out), dtype=complex)
-        for k in self.kraus:
-            out += k @ mat @ dag(k)
+        """sum_i E_i mat E_i^dagger on a matrix or a stack of matrices (..., d, d).
+
+        All r products ``E_i @ mat @ E_i^dagger`` come from one broadcast
+        matmul over a leading Kraus axis, then are added into a zero
+        accumulator in Kraus order.  Each product is the same matrix product
+        on the same operand layouts as in a per-operator loop, and the sum
+        keeps its order, so the result is bit-identical to
+        ``out = 0; for k in kraus: out += k @ mat @ dag(k)``.
+        """
+        mat = np.asarray(mat)
+        lead = mat.shape[:-2]
+        k, k_dag = self._stack, self._stack_dag
+        axes = (len(k),) + (1,) * len(lead)
+        terms = k.reshape(axes + k.shape[1:]) @ mat @ k_dag.reshape(axes + k_dag.shape[1:])
+        out = np.zeros(lead + (self.dim_out, self.dim_out), dtype=complex)
+        for t in terms:
+            out += t
         return out
 
     def compose(self, inner: "QuantumChannel") -> "QuantumChannel":

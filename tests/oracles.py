@@ -3,13 +3,44 @@
 These deliberately avoid the library's own code paths: the W-matrix entropy
 uses only the Kraus operators directly, the purified entanglement fidelity
 goes through an explicit reference system, and the conditional-entropy bound
-check enumerates every deterministic guessing map by brute force.
+check enumerates every deterministic guessing map by brute force.  The
+per-member Holevo loop and the per-Kraus channel loop are the plain forms the
+stacked kernels must reproduce bit for bit.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+
+def holevo_per_member(probs: np.ndarray, mats: np.ndarray) -> float:
+    """chi of (m, d, d) member matrices, one member entropy at a time.
+
+    The mixture is summed from 0 in member order; each spectrum is reversed to
+    descending order, clamped at 0 and summed over its positive entries; the
+    members are subtracted in order, skipping zero weights.
+    """
+    def entropy(w: np.ndarray) -> float:
+        w = np.where(w[::-1] < 0.0, 0.0, w[::-1])
+        live = w[w > 0.0]
+        return float(-np.sum(live * np.log2(live)))
+
+    mix = sum(p * m for p, m in zip(probs, mats))
+    spectra = np.linalg.eigvalsh(np.concatenate((mix[None], mats)))
+    chi = entropy(spectra[0])
+    for p, w in zip(probs, spectra[1:]):
+        if p > 0.0:
+            chi -= p * entropy(w)
+    return float(chi)
+
+
+def apply_kraus_loop(kraus: list[np.ndarray], mat: np.ndarray) -> np.ndarray:
+    """sum_i E_i mat E_i^dagger on a matrix or a stack, one operator at a time."""
+    out = np.zeros(np.shape(mat)[:-2] + (kraus[0].shape[0],) * 2, dtype=complex)
+    for k in kraus:
+        out += k @ mat @ np.conj(k).T
+    return out
 
 
 def w_matrix_entropy(rho_mat: np.ndarray, kraus: list[np.ndarray]) -> float:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qinfo.entropy import binary_entropy, shannon_entropy, random_dist
+from qinfo.entropy import binary_entropy, shannon_entropy, random_dist, validate_dist
 from qinfo.qentropy import (
+    _holevo,
     classical_quantum_state,
     coherent_information,
     ensemble_average_fidelity,
@@ -28,12 +29,14 @@ from qinfo.states import (
     KET_1,
     KET_PLUS,
     DensityMatrix,
+    QuantumChannel,
     apply_unitary,
     depolarizing_channel,
     identity_channel,
     measure,
     outer,
     partial_trace,
+    purify,
     random_channel,
     random_density_matrix,
     random_projector,
@@ -43,8 +46,14 @@ from qinfo.states import (
     unitary_channel,
 )
 
-from conftest import bell_state
-from oracles import bloch_grid_min_fidelity, purified_entanglement_fidelity, w_matrix_entropy
+from conftest import bell_state, random_kraus
+from oracles import (
+    apply_kraus_loop,
+    bloch_grid_min_fidelity,
+    holevo_per_member,
+    purified_entanglement_fidelity,
+    w_matrix_entropy,
+)
 
 ATOL = 1e-7
 
@@ -202,6 +211,24 @@ class TestHolevo:
             assert mutual_information(joint) <= holevo_chi(ens) + 1e-6
 
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 9, 16])
+    def test_stacked_kernel_bit_identical_to_member_loop(self, d, rng):
+        # pure and low-rank members leave zeros in the spectra, which a masked
+        # row sum only reproduces below 8 entries; zero weights are skipped
+        for _ in range(40):
+            m = int(rng.integers(1, 7))
+            mats = np.stack([random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1))).mat
+                             if rng.random() < 0.7 else outer(random_pure_state(d, rng))
+                             for _ in range(m)])
+            w = rng.random(m) * (rng.random(m) < 0.7)
+            w[int(rng.integers(m))] += 0.5
+            probs = validate_dist(w / w.sum())
+            want = holevo_per_member(probs, mats)
+            assert _holevo(probs, mats).hex() == want.hex()
+            ens = [(p, DensityMatrix(x)) for p, x in zip(probs, mats)]
+            assert holevo_chi(ens).hex() == want.hex()
+
+
 class TestEntropyExchange:
     def test_identity_channel(self, rng):
         rho = random_density_matrix(2, rng)
@@ -225,6 +252,17 @@ class TestEntropyExchange:
             ch = random_channel(2, int(rng.integers(1, 4)), rng)
             assert entropy_exchange(rho, ch) == pytest.approx(
                 w_matrix_entropy(rho.mat, ch.kraus), abs=ATOL)
+
+
+    @pytest.mark.parametrize("d,r", [(2, 1), (2, 4), (3, 9)])
+    def test_bit_identical_to_kraus_loop(self, d, r, rng):
+        for _ in range(10):
+            ops = random_kraus(d, d, r, rng)
+            rho = random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1)))
+            eye = np.eye(d, dtype=complex)
+            joint = apply_kraus_loop([np.kron(eye, k) for k in ops], outer(purify(rho)))
+            assert (entropy_exchange(rho, QuantumChannel(ops)).hex()
+                    == von_neumann_entropy(DensityMatrix(joint)).hex())
 
 
 class TestCoherentInformation:
@@ -307,6 +345,16 @@ class TestEntanglementFidelity:
             ch = random_channel(2, int(rng.integers(1, 4)), rng)
             assert entanglement_fidelity(rho, ch) == pytest.approx(
                 purified_entanglement_fidelity(rho.mat, ch.kraus), abs=ATOL)
+
+    @pytest.mark.parametrize("d,r", [(2, 1), (2, 4), (3, 9)])
+    def test_bit_identical_to_kraus_loop(self, d, r, rng):
+        for _ in range(10):
+            ops = random_kraus(d, d, r, rng)
+            rho = random_density_matrix(d, rng)
+            total = 0.0
+            for k in ops:
+                total += abs(np.trace(rho.mat @ k)) ** 2
+            assert entanglement_fidelity(rho, QuantumChannel(ops)).hex() == min(1.0, total).hex()
 
     def test_ensemble_average_identity(self, rng):
         ens = [(0.5, DensityMatrix.pure(random_pure_state(2, rng))) for _ in range(2)]

@@ -36,7 +36,8 @@ from qinfo.states import (
     thermal_state,
 )
 
-from conftest import bell_state
+from conftest import bell_state, random_kraus
+from oracles import apply_kraus_loop
 
 
 class TestDensityMatrix:
@@ -224,6 +225,36 @@ class TestChannels:
         out = ch.apply_mat(stack)
         assert out.shape == (4, 3, 3)
         assert all(np.array_equal(o, ch.apply_mat(m)) for o, m in zip(out, stack))
+
+    @pytest.mark.parametrize("din,dout,r", [(2, 2, 4), (3, 3, 9), (4, 4, 2), (2, 3, 2)])
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["single", "stack", "double-stack"])
+    def test_apply_mat_bit_identical_to_kraus_loop(self, rng, din, dout, r, lead):
+        for _ in range(25):
+            ops = random_kraus(din, dout, r, rng)
+            ch = QuantumChannel(ops)
+            mats = rng.normal(size=lead + (din, din)) + 1j * rng.normal(size=lead + (din, din))
+            mats[..., 0, :] = 0.0  # exact-zero rows
+            assert ch.apply_mat(mats).tobytes() == apply_kraus_loop(ops, mats).tobytes()
+
+    @pytest.mark.parametrize("din,dout,r", [(2, 2, 4), (3, 3, 9), (2, 3, 2)])
+    def test_apply_channel_bit_identical_to_kraus_loop(self, rng, din, dout, r):
+        for rank in range(1, din + 1):
+            ops = random_kraus(din, dout, r, rng)
+            rho = random_density_matrix(din, rng, rank=rank)
+            out = apply_channel(rho, QuantumChannel(ops))
+            assert out.mat.tobytes() == apply_kraus_loop(ops, rho.mat).tobytes()
+
+    def test_kraus_stack_is_read_only_and_copied(self, rng):
+        ops = random_kraus(2, 2, 3, rng)
+        ch = QuantumChannel(ops)
+        ops[0][0, 0] = 7.0
+        assert ch.kraus[0][0, 0] != 7.0
+        with pytest.raises(ValueError):
+            ch.kraus[0][0, 0] = 7.0
+
+    def test_inconsistent_output_dimension_rejected(self):
+        with pytest.raises(ValueError, match="output dimension"):
+            QuantumChannel([np.sqrt(0.5) * ID2, np.sqrt(0.5) * np.eye(3, 2)])
 
     def test_trace_and_positivity_preserved(self, rng):
         for _ in range(10):
