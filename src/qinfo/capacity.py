@@ -36,6 +36,12 @@ def channel_mutual_info(px, transition) -> float:
     return mutual_information(px[:, None] * t)
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a nan, infinite or negative stopping tolerance; none ends a search meaningfully."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+
+
 class ConvergenceError(RuntimeError):
     """Iteration cap reached; carries the best estimate found so far."""
 
@@ -54,6 +60,7 @@ def channel_capacity(transition, tol: float = 1e-9,
     that no input can produce are dropped before iterating (support
     restriction), which also keeps every logarithm finite.
     """
+    _check_tol(tol)
     t = validate_stochastic(transition)
     live_cols = t.sum(axis=0) > 0.0
     t = t[:, live_cols]
@@ -165,6 +172,7 @@ def hsw_capacity_estimate(op: QuantumChannel, restarts: int = 16, tol: float = 1
     """
     if restarts < 0:
         raise ValueError("restarts must be >= 0")
+    _check_tol(tol)
     d = op.dim_in
     m = d * d
     size = m + m * 2 * d

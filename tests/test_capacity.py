@@ -112,6 +112,12 @@ class TestChannelCapacity:
         assert err.value.capacity_bits == pytest.approx(1 - binary_entropy(0.11), abs=1e-6)
 
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite number"):
+            channel_capacity([[0.9, 0.1], [0.2, 0.8]], tol=tol)
+
+
 class TestHswChi:
     def test_identity_orthogonal_ensemble(self):
         ens = [(0.5, KET_0), (0.5, KET_1)]
@@ -214,6 +220,11 @@ class TestHswEstimate:
     def test_negative_restarts_rejected(self):
         with pytest.raises(ValueError, match="restarts"):
             hsw_capacity_estimate(identity_channel(2), restarts=-1)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite number"):
+            hsw_capacity_estimate(identity_channel(2), restarts=0, tol=tol)
 
     def test_monotone_in_restarts(self):
         ch = depolarizing_channel(0.3)

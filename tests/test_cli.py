@@ -259,6 +259,15 @@ class TestBadInput:
                       "--rate", "inf"], None, "rate must be finite", id="compress-rate-inf"),
         pytest.param(["compress", "--probs", "[0.5,0.5]", "--blocks", "4", "--eps", "0.3",
                       "--rate", "nan"], None, "rate must be finite", id="compress-rate-nan"),
+        pytest.param(["capacity", "--channel", "{bad}", "--tol", "nan"],
+                     {"rows": [[0.9, 0.1], [0.2, 0.8]]}, "tol must be a finite number",
+                     id="capacity-tol-nan"),
+        pytest.param(["capacity", "--channel", "{bad}", "--tol", "-1"],
+                     {"rows": [[0.9, 0.1], [0.2, 0.8]]}, "tol must be a finite number",
+                     id="capacity-tol-negative"),
+        pytest.param(["capacity", "--channel", "{bad}", "--tol", "inf"],
+                     {"rows": [[0.9, 0.1], [0.2, 0.8]]}, "tol must be a finite number",
+                     id="capacity-tol-inf"),
         pytest.param(["capacity", "--channel", "{bad}", "--tol", "0"],
                      {"rows": [[0.89, 0.11], [0.11, 0.89]]}, "best 0.5000840",
                      id="capacity-no-convergence"),
