@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import CssCode, _check_stacked_decode, _coset_keys, _decode_c1, coset_key, decode
+from .codes import CssCode, _coset_keys, _decode_rows, _syndrome_lookup, coset_key, decode
 from .entropy import mutual_information
 from .qentropy import coherent_information, holevo_chi
 from .rng import stream
@@ -104,7 +104,7 @@ class ProtocolConfig:
             raise ValueError("reconciliation needs a CSS code correcting >= 1 error")
         if self.n < self.code.n:
             raise ValueError(f"key block n={self.n} shorter than one code block ({self.code.n})")
-        _check_stacked_decode(self.code)
+        _syndrome_lookup(self.code.c1, self.code.t)
 
     @property
     def qubits_sent(self) -> int:
@@ -209,7 +209,7 @@ def _reconcile_blocks(code: CssCode, x_alice: np.ndarray, x_bob: np.ndarray,
     """
     v = msgs @ code.c1.generator.T % 2
     offsets = x_alice ^ v
-    v_hat, decoded = _decode_c1(code, x_bob ^ offsets)
+    v_hat, decoded = _decode_rows(code.c1, x_bob ^ offsets, code.t)
     keys = _coset_keys(code, np.concatenate([v, v_hat]))
     success = decoded & np.all(v_hat == v, axis=1)
     return keys[:len(v)], keys[len(v):], success, offsets

@@ -2,12 +2,11 @@
 
 Bit strings are numpy uint8 vectors of 0/1.  A generator matrix G is n x k and
 acts on column messages (codeword = G m mod 2); the parity check H is
-(n - k) x n with H G = 0.  Decoding uses an exhaustive syndrome lookup table
-over error patterns of weight <= t, cached on the code per t, so it is exact
-at desk scale (n <= 24).  For BB84 reconciliation a CssCode also caches C1's
-table as sorted integer syndromes (at most 64 checks), so a (B, n) stack of
-words decodes with one searchsorted, and coset keys of a stack come from one
-product with the cached G1 left inverse; decode and coset_key serve one word.
+(n - k) x n with H G = 0.  Decoding is an exhaustive syndrome lookup over
+error patterns of weight <= t, exact at desk scale (n <= 24): a LinearCode
+caches per t its patterns sorted by integer syndrome (at most 64 checks), so
+one searchsorted decodes a (B, n) stack of words; decode is the one-row case.
+Coset keys of a stack are one product with the cached G1 left inverse.
 
 The CSS section builds quantum codes from a nested classical pair C2 within C1
 and verifies the correction procedure with a dense statevector simulation
@@ -19,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -166,7 +166,7 @@ class LinearCode:
         h.setflags(write=False)
         self.generator = g
         self.parity_check = h
-        self._syndrome_tables = {}   # t -> syndrome_table(self, t), filled by decode
+        self._syndrome_tables = {}   # t -> _syndrome_lookup(self, t)
         if k == 0:
             self.distance = None
         elif k <= 16:
@@ -252,25 +252,53 @@ def syndrome_table(code: LinearCode, t: int) -> dict[bytes, np.ndarray]:
 
 
 def _check_radius(code: LinearCode, t: int) -> None:
+    if not isinstance(t, (int, np.integer)) or t < 0:
+        raise ValueError(f"t must be a non-negative integer, got {t}")
     if code.distance is not None and 2 * t + 1 > code.distance:
         raise ValueError(f"t={t} exceeds the correction radius of d={code.distance}")
+
+
+def _syndrome_lookup(code: LinearCode, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted uint64 syndrome keys, patterns and bit weights of syndrome_table, cached per t."""
+    _check_radius(code, t)
+    lookup = code._syndrome_tables.get(t)
+    if lookup is None:
+        h = code.parity_check
+        if h.shape[0] > 64:
+            raise ValueError(f"syndrome lookup needs n - k <= 64, got {h.shape[0]} checks")
+        weights = np.uint64(1) << np.arange(h.shape[0] - 1, -1, -1, dtype=np.uint64)
+        patterns = np.array(list(syndrome_table(code, t).values()), dtype=np.uint8)
+        keys = (patterns @ h.T % 2).astype(np.uint64) @ weights
+        order = np.argsort(keys)
+        lookup = code._syndrome_tables[t] = (keys[order], patterns[order], weights)
+    return lookup
+
+
+def _decode_rows(code: LinearCode, words: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """decode(code, word, t) of each row of a (B, n) uint8 stack.
+
+    Returns (codewords, found).  A row whose syndrome has no pattern of weight
+    <= t comes back as the zero codeword with found False.
+    """
+    keys, patterns, weights = _syndrome_lookup(code, t)
+    s = (words @ code.parity_check.T % 2).astype(np.uint64) @ weights
+    pos = np.minimum(np.searchsorted(keys, s), keys.size - 1)
+    found = keys[pos] == s
+    return np.where(found[:, None], words ^ patterns[pos], 0), found
 
 
 def decode(code: LinearCode, received, t: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Nearest-codeword decoding within radius t via syndrome lookup.
 
     Returns ``(codeword, error_pattern)`` or None when no pattern of weight
-    <= t explains the syndrome.  Requires 2t + 1 <= d when the distance is
-    known, so the correction inside the radius is unique.
+    <= t explains the syndrome.  Raises ValueError unless n - k <= 64 and,
+    when the distance is known, 2t + 1 <= d, so the correction is unique.
     """
-    _check_radius(code, t)
     y = bits(received)
-    if t not in code._syndrome_tables:
-        code._syndrome_tables[t] = syndrome_table(code, t)
-    e = code._syndrome_tables[t].get(syndrome(code, y).tobytes())
-    if e is None:
-        return None
-    return y ^ e, e.copy()
+    if y.size != code.n:
+        raise ValueError(f"received length {y.size} != n = {code.n}")
+    v, found = _decode_rows(code, y[None, :], t)
+    return (v[0], y ^ v[0]) if found[0] else None
 
 
 def dual_code(code: LinearCode) -> LinearCode:
@@ -325,7 +353,7 @@ def css_code_bounds(code: "CssCode") -> QuantumBoundsReport:
     informational only (no construction attains it here).
     """
     d1 = code.c1.distance
-    d2perp = dual_code(code.c2).distance
+    d2perp = code.dual_c2.distance
     if d1 is None or d2perp is None:
         raise ValueError("distance unavailable; bounds need it")
     d = min(d1, d2perp)
@@ -357,9 +385,10 @@ class CssCode:
         self.v = bits(v) if v is not None else np.zeros(c1.n, dtype=np.uint8)
         if self.u.size != c1.n or self.v.size != c1.n:
             raise ValueError("u and v must have length n")
+        if t < 0:
+            raise ValueError(f"t must be >= 0, got {t}")
         self.t = int(t)
         self._key_cache = None
-        self._lookup_cache = None
 
     @property
     def n(self) -> int:
@@ -368,6 +397,11 @@ class CssCode:
     @property
     def logical_bits(self) -> int:
         return self.c1.k - self.c2.k
+
+    @cached_property
+    def dual_c2(self) -> LinearCode:
+        """The dual of C2, built once so its syndrome lookups are cached too."""
+        return dual_code(self.c2)
 
     def __repr__(self) -> str:
         return f"CssCode[[{self.n}, {self.logical_bits}]] (t={self.t})"
@@ -446,35 +480,6 @@ def coset_key(code: CssCode, v) -> np.ndarray:
     return _coset_keys(code, v[None, :])[0]
 
 
-def _check_stacked_decode(code: CssCode) -> None:
-    """Raise ValueError unless _decode_c1 can serve the code: 2t + 1 <= d1, C1 <= 64 checks."""
-    _check_radius(code.c1, code.t)
-    if code.c1.parity_check.shape[0] > 64:
-        raise ValueError("stacked syndrome decoding needs n - k <= 64 for C1")
-
-
-def _decode_c1(code: CssCode, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """decode(C1, word, t) of each row of a (B, n) uint8 stack.
-
-    Returns (codewords, found).  A row whose syndrome has no pattern of weight
-    <= t comes back as the zero codeword with found False.  syndrome_table is
-    built once per code and cached as sorted big-endian integer syndromes.
-    """
-    h = code.c1.parity_check
-    weights = np.uint64(1) << np.arange(h.shape[0] - 1, -1, -1, dtype=np.uint64)
-    if code._lookup_cache is None:
-        _check_stacked_decode(code)
-        patterns = np.array(list(syndrome_table(code.c1, code.t).values()), dtype=np.uint8)
-        keys = (patterns @ h.T % 2).astype(np.uint64) @ weights
-        order = np.argsort(keys)
-        code._lookup_cache = (keys[order], patterns[order])
-    keys, patterns = code._lookup_cache
-    s = (words @ h.T % 2).astype(np.uint64) @ weights
-    pos = np.minimum(np.searchsorted(keys, s), keys.size - 1)
-    found = keys[pos] == s
-    return np.where(found[:, None], words ^ patterns[pos], 0), found
-
-
 def css_basis_state(code: CssCode, x) -> np.ndarray:
     """Amplitude vector of the logical basis state for a coset of C2 in C1.
 
@@ -496,16 +501,23 @@ def css_basis_state(code: CssCode, x) -> np.ndarray:
     return vec
 
 
+def _flip_mask(vec: np.ndarray, e, n: int) -> int:
+    e = bits(e)
+    if e.size != n or vec.size != 1 << n:
+        raise ValueError(f"need {n} bits and {1 << n} amplitudes, got {e.size} and {vec.size}")
+    return bits_to_index(e)
+
+
 def apply_bit_flips(vec: np.ndarray, e, n: int) -> np.ndarray:
     """X errors: permute amplitudes by XOR with the error pattern."""
-    mask = bits_to_index(bits(e))
+    mask = _flip_mask(vec, e, n)
     perm = np.arange(vec.size) ^ mask
     return vec[perm]
 
 
 def apply_phase_flips(vec: np.ndarray, e, n: int) -> np.ndarray:
     """Z errors: sign (-1)^(bits(i) . e) on each amplitude."""
-    mask = bits_to_index(bits(e))
+    mask = _flip_mask(vec, e, n)
     parity = np.bitwise_count(np.arange(vec.size) & mask) & 1
     return vec * np.where(parity, -1.0, 1.0)
 
@@ -569,8 +581,7 @@ def simulate_css_correction(code: CssCode, x, e1, e2) -> CssCorrectionResult:
     # Hadamard frame: phase flips now look like bit flips on C2-dual words.
     vec = hadamard_all(vec)
     dual_frame = vec.copy()
-    c2perp = dual_code(code.c2)
-    out = decode(c2perp, _support_word(vec, code.n), code.t)
+    out = decode(code.dual_c2, _support_word(vec, code.n), code.t)
     if out is None:
         return CssCorrectionResult(np.zeros(code.n, dtype=np.uint8), False, dual_frame)
     vec = apply_bit_flips(vec, out[1], code.n)

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: the W-matrix entropy
 uses only the Kraus operators directly, the purified entanglement fidelity
 goes through an explicit reference system, and the conditional-entropy bound
-check enumerates every deterministic guessing map by brute force.  The
+check enumerates every deterministic guessing map by brute force, and the
+nearest-codeword decoder scans every codeword instead of a syndrome table.  The
 per-member Holevo loop and the per-Kraus channel loop are the plain forms the
 stacked kernels must reproduce bit for bit.
 """
@@ -105,3 +106,20 @@ def bloch_grid_min_fidelity(kraus: list[np.ndarray], steps: int = 40) -> float:
             val = float(np.real(psi.conj() @ out @ psi))
             best = min(best, math.sqrt(max(val, 0.0)))
     return best
+
+
+def nearest_codeword(codewords: np.ndarray, y: np.ndarray, t: int):
+    """(codeword, error) of the codeword nearest to y, or None beyond weight t.
+
+    Scans every codeword row for the minimum weight of y ^ c; a tie goes to
+    the error whose positions come first in combinations order, that is the
+    lexicographically smallest tuple of positions.
+    """
+    errors = codewords ^ y
+    weights = errors.sum(axis=1)
+    best = int(weights.min())
+    if best > t:
+        return None
+    tied = np.nonzero(weights == best)[0]
+    i = min(tied, key=lambda j: tuple(np.nonzero(errors[j])[0]))
+    return codewords[i], errors[i]

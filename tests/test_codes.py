@@ -8,7 +8,7 @@ from qinfo.codes import (
     CssCode,
     LinearCode,
     _coset_keys,
-    _decode_c1,
+    _decode_rows,
     apply_bit_flips,
     apply_phase_flips,
     bits,
@@ -42,6 +42,8 @@ from qinfo.codes import (
     syndrome_table,
 )
 from qinfo.entropy import binary_entropy
+
+from oracles import nearest_codeword
 
 
 class TestHammingGeometry:
@@ -217,6 +219,46 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(hamming_7_4(), "0000000", 2)
 
+    @pytest.mark.parametrize("t", [-1, 1.5, 1.0, "1", None],
+                             ids=["negative", "fraction", "float-one", "string", "none"])
+    def test_radius_must_be_a_non_negative_integer(self, t):
+        c = repetition_code(5)   # d = 5, so 1.5 passes the radius check
+        decode(c, "10000", 1)    # a float equal to a cached t must not hit the cache
+        for call in (lambda: decode(c, "10000", t),
+                     lambda: _decode_rows(c, np.zeros((1, 5), dtype=np.uint8), t)):
+            with pytest.raises(ValueError, match="non-negative integer"):
+                call()
+
+    def test_numpy_integer_radius_accepted(self):
+        assert decode(hamming_7_4(), "0100000", np.int64(1))[1].tolist() == [0, 1, 0, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("c,t", [
+        (repetition_code(3), 1), (repetition_code(5), 2), (parity_code(3), 0),
+        (hamming_7_4(), 0), (hamming_7_4(), 1), (simplex_7_3(), 1),
+    ], ids=["rep3-t1", "rep5-t2", "parity3-t0", "hamming-t0", "hamming-t1", "simplex-t1"])
+    def test_every_word_matches_the_brute_force_oracle(self, c, t):
+        words = np.array(list(itertools.product((0, 1), repeat=c.n)), dtype=np.uint8)
+        fixed, found = _decode_rows(c, words, t)
+        assert fixed.dtype == np.uint8
+        for y, v, ok in zip(words, fixed, found):
+            want = nearest_codeword(c.codewords(), y, t)
+            out = decode(c, y, t)
+            if want is None:
+                assert out is None and not ok and not v.any()
+            else:
+                assert ok and np.array_equal(v, want[0])
+                assert np.array_equal(out[0], want[0]) and np.array_equal(out[1], want[1])
+
+    @pytest.mark.parametrize("c", [parity_code(4), repetition_code(4)], ids=["parity4", "rep4"])
+    def test_oracle_breaks_ties_like_the_table(self, c):
+        # past the correction radius the table's tie-break decides; both
+        # must pick the lowest positions in combinations order
+        table = syndrome_table(c, 2)
+        for y in itertools.product((0, 1), repeat=4):
+            y = np.array(y, dtype=np.uint8)
+            assert np.array_equal(nearest_codeword(c.codewords(), y, 2)[1],
+                                  table[syndrome(c, y).tobytes()])
+
     def test_failure_marker_when_syndrome_unexplained(self):
         # the [3,1] repetition code with t = 1 corrects everything, so use the
         # [3,2] parity code at t = 0: any error gives an unexplained syndrome
@@ -253,21 +295,26 @@ class TestDecode:
         built = []
         monkeypatch.setattr(codes, "syndrome_table",
                             lambda c, t: built.append(t) or syndrome_table(c, t))
-        s = steane_css()
-        words = s.c1.codewords() ^ np.eye(16, 7, dtype=np.uint8)
-        for _ in range(2):
-            fixed, found = _decode_c1(s, words)
-            assert found.all() and np.array_equal(fixed, s.c1.codewords())
-        assert built == [1]
+        for decode_first in (False, True):
+            built.clear()
+            s = steane_css()
+            if decode_first:   # the one-row decode fills the table the stack reads
+                assert decode(s.c1, "0000100", s.t)[1].tolist() == [0, 0, 0, 0, 1, 0, 0]
+            words = s.c1.codewords() ^ np.eye(16, 7, dtype=np.uint8)
+            for _ in range(2):
+                fixed, found = _decode_rows(s.c1, words, s.t)
+                assert found.all() and np.array_equal(fixed, s.c1.codewords())
+            assert built == [1]
 
     @pytest.mark.parametrize("c1,t,fragment", [
         (hamming_7_4(), 2, "correction radius"),
         (repetition_code(66), 1, "n - k <= 64"),
     ], ids=["radius", "65-checks"])
     def test_stacked_decode_rejects_what_it_cannot_serve(self, c1, t, fragment):
-        code = CssCode(c1, LinearCode(np.zeros((c1.n, 0), dtype=np.uint8)), t=t)
         with pytest.raises(ValueError, match=fragment):
-            _decode_c1(code, np.zeros((1, c1.n), dtype=np.uint8))
+            _decode_rows(c1, np.zeros((1, c1.n), dtype=np.uint8), t)
+        with pytest.raises(ValueError, match=fragment):
+            decode(c1, np.zeros(c1.n, dtype=np.uint8), t)
 
     def test_round_trips_all_correctable_errors(self, rng):
         for c in (repetition_code(3), hamming_7_4(), simplex_7_3()):
@@ -358,6 +405,11 @@ class TestCssConstruction:
         p = parity_code(3)
         with pytest.raises(ValueError):
             css_construct(p, dual_code(p))   # parity code only detects
+
+    def test_negative_radius_rejected(self):
+        h = hamming_7_4()
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            CssCode(h, dual_code(h), t=-1)
 
 
 class TestCssBasisStates:
@@ -461,6 +513,24 @@ class TestCssCorrection:
         res = simulate_css_correction(s, x, e, np.zeros(7, dtype=np.uint8))
         assert not res.success
 
+    @pytest.mark.parametrize("e", ["010", "01000000"], ids=["3-bits", "8-bits"])
+    def test_wrong_length_error_pattern_rejected(self, e):
+        s = steane_css()
+        x, zero = s.c1.codewords()[9], np.zeros(7, dtype=np.uint8)
+        for e1, e2 in ((e, zero), (zero, e)):
+            with pytest.raises(ValueError, match="need 7 bits"):
+                simulate_css_correction(s, x, e1, e2)
+
+    def test_each_table_is_built_once_across_calls(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(codes, "syndrome_table",
+                            lambda c, t: built.append(c) or syndrome_table(c, t))
+        s = steane_css()
+        x, e = s.c1.codewords()[9], bits("0010000")
+        for _ in range(2):
+            assert simulate_css_correction(s, x, e, e).success
+        assert len(built) == 2 and built[0] is s.c1 and built[1] is s.dual_c2
+
 
 class TestCosetKey:
     def test_steane_key_bits(self):
@@ -505,6 +575,13 @@ class TestStatevectorHelpers:
         vec = np.ones(4, dtype=complex) / 2
         out = apply_phase_flips(vec, "01", 2)
         assert np.allclose(out * 2, [1, -1, 1, -1])
+
+    @pytest.mark.parametrize("flip", [apply_bit_flips, apply_phase_flips])
+    @pytest.mark.parametrize("e,size", [("010", 128), ("01000000", 128), ("0100000", 64)],
+                             ids=["3-bits", "8-bits", "short-vector"])
+    def test_rejects_pattern_or_vector_of_the_wrong_size(self, flip, e, size):
+        with pytest.raises(ValueError, match="need 7 bits and 128 amplitudes"):
+            flip(np.ones(size, dtype=complex), e, 7)
 
     def test_hadamard_involution(self, rng):
         vec = rng.normal(size=16) + 1j * rng.normal(size=16)
