@@ -17,6 +17,7 @@ generator only approximates the ideal of perfectly random protocol bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -153,15 +154,19 @@ def measure_qubit(rho, basis: int, rng: np.random.Generator) -> int:
     return 0 if rng.random() < p0 else 1
 
 
+@functools.lru_cache(maxsize=64)
 def _p0_table(ch: ChannelModel) -> np.ndarray:
     """p0[state, basis] of the four signals after transport, state = 2*basis + bit.
 
     One _born_p0 call on the 8-row batch, so each entry equals a full stack's.
+    Cached per (frozen) model and returned read-only.
     """
     rhos = STATE_MATRICES.reshape(4, 2, 2)
     if ch.kind == "depolarizing":
         rhos = (1.0 - ch.param) * rhos + (ch.param / 2.0) * ID2
-    return _born_p0(np.repeat(rhos, 2, axis=0), np.tile([0, 1], 4)).reshape(4, 2)
+    table = _born_p0(np.repeat(rhos, 2, axis=0), np.tile([0, 1], 4)).reshape(4, 2)
+    table.flags.writeable = False
+    return table
 
 
 def _draw(p0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -232,9 +237,6 @@ def run_bb84(cfg: ProtocolConfig, ch: ChannelModel) -> ProtocolTranscript:
     alice_bases = stream(seed, "alice-bases").integers(0, 2, total).astype(np.uint8)
     bob_bases = stream(seed, "bob-bases").integers(0, 2, total).astype(np.uint8)
 
-    n_blocks = n // code.n
-    msgs = stream(seed, "codewords").integers(0, 2, (n_blocks, code.c1.k)).astype(np.uint8)
-
     p0, eve = _transport(2 * alice_bases + alice_bits, bob_bases, ch, seed)
     bob_bits = _draw(p0, stream(seed, "bob-measure"))
 
@@ -271,6 +273,8 @@ def run_bb84(cfg: ProtocolConfig, ch: ChannelModel) -> ProtocolTranscript:
             announced_offset=empty, alice_key=empty, bob_key=empty,
             block_success=np.zeros(0, dtype=bool), **base)
 
+    n_blocks = n // code.n
+    msgs = stream(seed, "codewords").integers(0, 2, (n_blocks, code.c1.k)).astype(np.uint8)
     kept = keep_idx[:n_blocks * code.n]
     keys_a, keys_b, success, offsets = _reconcile_blocks(
         code, alice_bits[kept].reshape(n_blocks, code.n),

@@ -251,9 +251,13 @@ def syndrome_table(code: LinearCode, t: int) -> dict[bytes, np.ndarray]:
     return table
 
 
-def _check_radius(code: LinearCode, t: int) -> None:
+def _check_t(t) -> None:
     if not isinstance(t, (int, np.integer)) or t < 0:
-        raise ValueError(f"t must be a non-negative integer, got {t}")
+        raise ValueError(f"t must be >= 0, a non-negative integer, got {t}")
+
+
+def _check_radius(code: LinearCode, t: int) -> None:
+    _check_t(t)
     if code.distance is not None and 2 * t + 1 > code.distance:
         raise ValueError(f"t={t} exceeds the correction radius of d={code.distance}")
 
@@ -385,8 +389,7 @@ class CssCode:
         self.v = bits(v) if v is not None else np.zeros(c1.n, dtype=np.uint8)
         if self.u.size != c1.n or self.v.size != c1.n:
             raise ValueError("u and v must have length n")
-        if t < 0:
-            raise ValueError(f"t must be >= 0, got {t}")
+        _check_t(t)
         self.t = int(t)
         self._key_cache = None
 
@@ -413,14 +416,16 @@ def css_construct(c1: LinearCode, c2: LinearCode, u=None, v=None) -> CssCode:
     Requires C2 within C1 and derives t from the distances of C1 and of the
     dual of C2 (both must correct at least one error).
     """
-    d1 = c1.distance
-    d2perp = dual_code(c2).distance
+    c2perp = dual_code(c2)
+    d1, d2perp = c1.distance, c2perp.distance
     if d1 is None or d2perp is None:
         raise ValueError("component distances unavailable")
     t = min((d1 - 1) // 2, (d2perp - 1) // 2)
     if t < 1:
         raise ValueError(f"insufficient distance: C1 d={d1}, dual(C2) d={d2perp}")
-    return CssCode(c1, c2, u, v, t=t)
+    code = CssCode(c1, c2, u, v, t=t)
+    code.dual_c2 = c2perp   # fills the cached property, so the dual is built once
+    return code
 
 
 def canonical_coset_rep(code: LinearCode, word) -> np.ndarray:

@@ -5,12 +5,15 @@ row major; distributions as plain JSON arrays; channels as
 ``{"rows": [[...]]}``; their readers raise ValueError on any other shape.
 Linear codes use a small text format: first line "n k", then k generator
 columns as n-character 0/1 strings, optionally followed by a line "H" and n-k
-parity rows.  CSV output is locale free with 12 significant digits.
+parity rows.  CSV output is locale free with 12 significant digits.  JSON
+output (dump_json) is byte-identical to json.dumps(obj, indent=2,
+sort_keys=True); strings go through json's own C escaper.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -144,8 +147,59 @@ def batch_summary_rows(transcripts: list[ProtocolTranscript]) -> list[str]:
     return rows
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, pad: str) -> str:
+    """obj as json.dumps(indent=2, sort_keys=True) writes it; pad is the line
+    break and indent before obj's closing bracket.
+
+    Types are tested in json's own order, so bool is not an int, float
+    subclasses print through float.__repr__ and tuples are lists.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            body = sep.join(map(int.__repr__, obj))
+        else:
+            body = sep.join([_json_text(x, inner) for x in obj])
+        return f"[{inner}{body}{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join([f"{_encode_str(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj)])
+        return f"{{{inner}{body}{pad}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dump_json(obj, path=None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """JSON text of obj, byte for byte json.dumps(obj, indent=2, sort_keys=True).
+
+    Dict keys must be str (a non-str key raises TypeError).  With a path the
+    file gets the text plus a trailing newline.
+    """
+    text = _json_text(obj, "\n")
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

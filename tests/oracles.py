@@ -6,10 +6,12 @@ goes through an explicit reference system, and the conditional-entropy bound
 check enumerates every deterministic guessing map by brute force, and the
 nearest-codeword decoder scans every codeword instead of a syndrome table.  The
 per-member Holevo loop and the per-Kraus channel loop are the plain forms the
-stacked kernels must reproduce bit for bit.
+stacked kernels must reproduce bit for bit, and the standard library's
+json.dumps is the reference for the transcript writer's bytes.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -123,3 +125,8 @@ def nearest_codeword(codewords: np.ndarray, y: np.ndarray, t: int):
     tied = np.nonzero(weights == best)[0]
     i = min(tied, key=lambda j: tuple(np.nonzero(errors[j])[0]))
     return codewords[i], errors[i]
+
+
+def json_text(obj) -> str:
+    """The standard library's indented, key-sorted JSON text of obj."""
+    return json.dumps(obj, indent=2, sort_keys=True)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qinfo import formats
+from qinfo import bb84, formats
 from qinfo.bb84 import (
     COMPUTATIONAL,
     HADAMARD_BASIS,
@@ -363,6 +363,31 @@ class TestIndexTransportMatchesDensityMatrices:
         for key, want in ref_eve.items():
             assert eve[key].dtype == want.dtype and np.array_equal(eve[key], want)
 
+
+
+class TestNoUnusedWork:
+    @pytest.mark.parametrize("kind,param", [("ideal", 0.0), ("depolarizing", 0.1)])
+    def test_p0_table_is_cached_and_read_only(self, kind, param):
+        table = bb84._p0_table(ChannelModel(kind, param))
+        assert bb84._p0_table(ChannelModel(kind, param)) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.5
+
+    def test_aborted_trial_never_builds_the_codewords_stream(self, monkeypatch):
+        labels = []
+
+        def recording_stream(seed, *names):
+            labels.append(names)
+            return stream(seed, *names)
+
+        monkeypatch.setattr(bb84, "stream", recording_stream)
+        t = run_bb84(config(threshold=0), ChannelModel("intercept_resend", 1.0))
+        assert t.abort_reason.startswith("check-bit")
+        assert ("selection",) in labels and ("codewords",) not in labels
+        labels.clear()
+        assert not run_bb84(config(), ChannelModel("ideal")).aborted
+        assert labels.count(("codewords",)) == 1
 
 # sha256 of formats.dump_json over four run_batch transcripts, Steane code,
 # threshold round(0.11 n).  n=64 runs at delta=0, so sifting aborts occur;

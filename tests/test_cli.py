@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from oracles import json_text
 from qinfo import formats
-from qinfo.bb84 import ChannelModel, ProtocolConfig, run_bb84
+from qinfo.bb84 import ChannelModel, ProtocolConfig, run_batch, run_bb84
 from qinfo.cli import main
 from qinfo.codes import hamming_7_4, steane_css
 
@@ -61,6 +62,83 @@ class TestFormats:
                             "announced_offset", "alice_key", "bob_key", "qber_estimate"}
         assert len(obj["alice_bits"]) == cfg.qubits_sent
         json.dumps(obj)   # serialisable
+
+
+
+NAN, INF = float("nan"), float("inf")
+JSON_EDGE_CASES = [
+    {}, [], (), None, True, False, 0, -7, 2 ** 70, 0.5, "", "x",
+    {"a": {}, "b": [], "c": (), "d": {"e": {"f": []}}},
+    [[], [[]], {"x": [{}]}, ([],)],
+    (1, (2, 3), [4, (5,)]),
+    [1, 2, True, 3], [True, False], [0, -1, 2 ** 70, -(2 ** 64)], [1, 2.0, 3], [1, None],
+    [np.float64(0.1), np.float64(-2.5e-300), -0.0, 0.0, NAN, INF, -INF,
+     np.float64("nan"), np.float64(-np.inf), 1e300, 5e-324, 1 / 3],
+    ["\u00e9t\u00e9", "\u2603", "\U0001f600", "\ud800", "\x00\x1f\x7f", "\"\\/\b\f\n\r\t"],
+    {"b": 1, "a": 2, "B": 3, "\u00e9": 4, "": 5, "\x00": 6, "a b": [7, True]},
+    {"outer": [{"inner": (1, [2, {"deep": [None, NAN]}])}]},
+]
+
+
+def random_json_value(rng, depth=0):
+    """A random nest of every kind json.dumps accepts, up to depth 4."""
+    kind = int(rng.integers(0, 9 if depth < 4 else 6))
+    if kind == 0:
+        return [None, True, False][int(rng.integers(0, 3))]
+    if kind == 1:
+        return int(rng.integers(-10 ** 6, 10 ** 6))
+    if kind == 2:
+        return float(rng.choice([rng.normal(), -0.0, NAN, INF, -INF, 1e-310]))
+    if kind == 3:
+        return np.float64(rng.normal() * 10.0 ** int(rng.integers(-20, 20)))
+    if kind == 4:
+        return "".join(chr(int(c)) for c in rng.integers(0, 0x3000, int(rng.integers(0, 8))))
+    if kind == 5:
+        return [int(x) for x in rng.integers(0, 5000, int(rng.integers(0, 20)))]
+    if kind == 6:
+        return {"k" + chr(int(rng.integers(0, 300))):
+                random_json_value(rng, depth + 1) for _ in range(int(rng.integers(0, 5)))}
+    items = [random_json_value(rng, depth + 1) for _ in range(int(rng.integers(0, 5)))]
+    return tuple(items) if kind == 7 else items
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("obj", JSON_EDGE_CASES, ids=range(len(JSON_EDGE_CASES)))
+    def test_edge_cases_equal_json_dumps(self, obj):
+        assert formats.dump_json(obj) == json_text(obj)
+
+    def test_random_nests_equal_json_dumps(self):
+        rng = np.random.default_rng(20261018)
+        for i in range(400):
+            obj = random_json_value(rng)
+            assert formats.dump_json(obj) == json_text(obj), i
+
+    def test_transcript_payload_equals_json_dumps(self):
+        cfg = ProtocolConfig(n=32, delta=1.0, threshold=3, code=steane_css(), master_seed=9)
+        payload = [formats.transcript_to_json(t)
+                   for t in run_batch(cfg, ChannelModel("intercept_resend", 0.5), 3)]
+        assert formats.dump_json(payload) == json_text(payload)
+
+    @pytest.mark.parametrize("obj", [
+        np.int64(1), {1, 2}, object(), np.bool_(True), np.zeros(2),
+        [1, np.int64(2)], (1, {2}), {"a": {"b": object()}},
+    ], ids=["int64", "set", "object", "bool_", "ndarray", "int64-in-list",
+            "set-in-tuple", "nested-object"])
+    def test_unsupported_types_raise_like_json_dumps(self, obj):
+        with pytest.raises(TypeError):
+            json_text(obj)
+        with pytest.raises(TypeError):
+            formats.dump_json(obj)
+
+    def test_non_str_keys_rejected(self):
+        with pytest.raises(TypeError):
+            formats.dump_json({1: "a"})
+
+    def test_file_gets_text_and_newline(self, tmp_path):
+        obj = {"b": [1, 2], "a": "\u00e9"}
+        text = formats.dump_json(obj, tmp_path / "out.json")
+        assert text == json_text(obj)
+        assert (tmp_path / "out.json").read_text() == text + "\n"
 
 
 class TestEntropyCommand:

@@ -411,6 +411,25 @@ class TestCssConstruction:
         with pytest.raises(ValueError, match="t must be >= 0"):
             CssCode(h, dual_code(h), t=-1)
 
+    @pytest.mark.parametrize("t", [1.7, 1.0, "1"])
+    def test_non_integer_radius_rejected(self, t):
+        # same rule as decode's radius: a fractional t is not truncated
+        h = hamming_7_4()
+        with pytest.raises(ValueError, match="non-negative integer"):
+            CssCode(h, dual_code(h), t=t)
+
+    def test_steane_builds_each_dual_once(self, monkeypatch):
+        calls = []
+
+        def counting_dual(code):
+            calls.append(code)
+            return dual_code(code)
+
+        monkeypatch.setattr(codes, "dual_code", counting_dual)
+        s = steane_css()
+        assert s.dual_c2.distance == 3
+        assert len(calls) == 2   # C2 = dual(C1), then dual(C2), shared with the cache
+
 
 class TestCssBasisStates:
     def test_trivial_subcode_gives_basis_vector(self):
