@@ -98,12 +98,9 @@ def cmd_compress(args) -> int:
     else:
         lines.append("n,epsilon,set_size,typical_mass,reliability")
         for n in blocks:
-            model = typical.SourceModel(probs, n, args.eps)
-            size = len(typical.typical_set(model))
-            mass = typical.typical_set_mass(model)
-            rel = typical.shannon_scheme(model, args.rate).reliability
-            lines.append(",".join([str(n), formats.fmt(args.eps), str(size),
-                                   formats.fmt(mass), formats.fmt(rel)]))
+            s = typical.shannon_scheme(typical.SourceModel(probs, n, args.eps), args.rate)
+            lines.append(",".join([str(n), formats.fmt(args.eps), str(s.set_size),
+                                   formats.fmt(s.set_mass), formats.fmt(s.reliability)]))
     _emit(lines, args.out)
     return 0
 

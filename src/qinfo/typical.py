@@ -5,14 +5,19 @@ epsilon-typical when its per-symbol surprisal sits within epsilon of the source
 entropy.  Everything here is exact at desk scale: one lexicographic table of
 the typicality and probability of every length-n sequence backs every set,
 mass, scheme and projector, the quantum ones densely in the source eigenbasis
-(ambient dimension capped at 256).  Asymptotic statements are therefore
-checked as monotone trends over small n, never as limits.
+(ambient dimension capped at 256).  A ``ShannonScheme`` reads the typical
+set's size and mass from its one table and lists sequences only when asked
+to compress or decompress; ``typical_set`` and ``typical_set_mass`` list and
+sum member by member, and serve as its reference.  Asymptotic statements are
+therefore checked as monotone trends over small n, never as limits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, product
 
 import numpy as np
@@ -33,10 +38,7 @@ class SourceModel:
 
     def __post_init__(self):
         validate_dist(np.asarray(self.probs))
-        if self.block_length < 1:
-            raise ValueError("block length must be at least 1")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        _check_block(self.block_length, self.epsilon)
 
     @property
     def alphabet_size(self) -> int:
@@ -56,10 +58,16 @@ class QuantumSourceModel:
 
     def __post_init__(self):
         as_density(self.rho)
-        if self.block_length < 1:
-            raise ValueError("block length must be at least 1")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        _check_block(self.block_length, self.epsilon)
+
+
+def _check_block(block_length, epsilon) -> None:
+    if isinstance(block_length, bool) or not isinstance(block_length, (int, np.integer)):
+        raise ValueError(f"block length must be an integer, got {block_length!r}")
+    if block_length < 1:
+        raise ValueError("block length must be at least 1")
+    if not epsilon > 0.0:
+        raise ValueError("epsilon must be positive")
 
 
 def sequence_prob(seq, probs) -> float:
@@ -79,12 +87,15 @@ def is_typical(seq, model: SourceModel) -> bool:
         raise ValueError(f"sequence length {len(seq)} != block length {n}")
     total = 0.0
     for s in seq:
-        s = int(s)
-        if not 0 <= s < p.size:
+        try:
+            k = operator.index(s)
+        except TypeError:   # a float is never a symbol, not even 1.0
+            k = -1
+        if not 0 <= k < p.size:
             raise ValueError(f"symbol {s} outside the alphabet")
-        if p[s] == 0.0:
+        if p[k] == 0.0:
             return False
-        total -= math.log2(p[s])
+        total -= math.log2(p[k])
     return abs(total / n - model.entropy) <= model.epsilon
 
 
@@ -119,7 +130,11 @@ def typical_set(model: SourceModel) -> list[tuple[int, ...]]:
 
 
 def typical_set_mass(model: SourceModel) -> float:
-    """Exact total probability of the typical set."""
+    """Exact total probability of the typical set, summed member by member.
+
+    The per-member reference for ``ShannonScheme.set_mass``, which sums the
+    same products in the same order straight from the table.
+    """
     return float(sum(sequence_prob(seq, model.probs) for seq in typical_set(model)))
 
 
@@ -150,12 +165,20 @@ class ShannonScheme:
 
     Sequences in ``included`` (a subset of the typical set) map bijectively to
     indices 1..len(included), assigned in lexicographic order; index 0 is the
-    reserved failure index that every other sequence compresses to.
-    ``reliability`` is the exact probability that decompression inverts
-    compression.
+    reserved failure index that every other sequence, and every sequence with
+    a non-integer symbol, compresses to.  ``reliability`` is the exact
+    probability that decompression inverts compression.  ``set_size`` and
+    ``set_mass`` are the size and exact mass of the whole typical set, before
+    an undersized rate trims it, so ``reliability == set_mass`` when nothing
+    is trimmed.  ``included`` and the index map are built on first use by
+    ``compress`` or ``decompress``; a scheme asked only for its numbers never
+    lists a sequence.
     """
 
     def __init__(self, model: SourceModel, rate: float):
+        # The table's size cap is checked before the rate, so a compress row
+        # that fails both reports the cap.
+        mask, prob = _typical_table(model)
         if not math.isfinite(rate):
             raise ValueError(f"rate must be finite, got {rate}")
         if rate * model.block_length < 1.0:
@@ -164,8 +187,8 @@ class ShannonScheme:
         self.rate = rate
         self.index_bits = int(math.floor(rate * model.block_length))
         capacity = (1 << self.index_bits) - 1  # index 0 is reserved
-        mask, prob = _typical_table(model)
-        size = int(mask.sum())
+        size = self.set_size = int(mask.sum())
+        self.set_mass = self.reliability = float(sum(prob[mask].tolist()))
         if size > capacity:
             if rate > model.entropy:
                 raise CapacityError(
@@ -176,12 +199,23 @@ class ShannonScheme:
             kept = typical[np.argsort(-prob[typical], kind="stable")[:capacity]]
             mask = np.zeros_like(mask)
             mask[kept] = True
-        self.included = _sequences(model, mask)
-        self._to_index = {seq: i + 1 for i, seq in enumerate(self.included)}
-        self.reliability = sum(prob[mask].tolist())
+            self.reliability = sum(prob[mask].tolist())
+        self._mask = mask
+
+    @cached_property
+    def included(self) -> list[tuple[int, ...]]:
+        return _sequences(self.model, self._mask)
+
+    @cached_property
+    def _to_index(self) -> dict[tuple[int, ...], int]:
+        return {seq: i + 1 for i, seq in enumerate(self.included)}
 
     def compress(self, seq) -> int:
-        return self._to_index.get(tuple(int(s) for s in seq), 0)
+        try:
+            key = tuple(map(operator.index, seq))
+        except TypeError:   # a sequence with a non-integer symbol is never included
+            return 0
+        return self._to_index.get(key, 0)
 
     def decompress(self, index: int) -> tuple[int, ...] | None:
         if 1 <= index <= len(self.included):

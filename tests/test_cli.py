@@ -204,6 +204,20 @@ GOLDEN_COMPRESS = [
      "2,0.3,0,0,0.31640625\n"
      "4,0.3,4,0.421875,0.278091430664\n"
      "6,0.3,21,0.652587890625,0.457547307014\n"),
+    # benchmark-sized rows: the long sums are where a change of summation order
+    # would show, on both the untrimmed and the trimmed rate path
+    (["--probs", "[0.75,0.25]", "--blocks", "14,18", "--eps", "0.3", "--rate", "0.97"],
+     "n,epsilon,set_size,typical_mass,reliability\n"
+     "14,0.3,6475,0.943911295384,0.943911295384\n"
+     "18,0.3,62985,0.903588048546,0.903588048546\n"),
+    (["--probs", "[0.75,0.25]", "--blocks", "14,18", "--eps", "0.3", "--rate", "0.7"],
+     "n,epsilon,set_size,typical_mass,reliability\n"
+     "14,0.3,6475,0.943911295384,0.51276094839\n"
+     "18,0.3,62985,0.903588048546,0.480736589569\n"),
+    (["--probs", "[0.5,0.3,0.2]", "--blocks", "9,11", "--eps", "0.3", "--rate", "1.75"],
+     "n,epsilon,set_size,typical_mass,reliability\n"
+     "9,0.3,14254,0.914092728,0.914092728\n"
+     "11,0.3,125379,0.948590821671,0.948590821671\n"),
 ]
 
 

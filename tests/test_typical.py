@@ -53,6 +53,33 @@ class TestTypicality:
         with pytest.raises(ValueError):
             is_typical((0, 2), SourceModel(SKEWED, 2, 0.1))
 
+    @pytest.mark.parametrize("seq", [[0.9, 0, 0, 1], [0, 0, 0, 1.0], [0, 0, 0, np.float64(1)]],
+                             ids=["fraction", "integral-float", "numpy-float"])
+    def test_non_integer_symbol_rejected(self, seq):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            is_typical(seq, SourceModel(SKEWED, 4, 0.3))
+
+    def test_numpy_integer_symbols(self):
+        m = SourceModel(SKEWED, 4, 1e-12)
+        assert is_typical(np.array([0, 0, 0, 1]), m)
+        assert is_typical([np.uint8(0), np.int16(0), 0, np.int64(1)], m)
+        assert not is_typical(np.array([1, 1, 1, 1]), m)
+
+
+class TestBlockLength:
+    @pytest.mark.parametrize("n", [4.5, 4.0, np.float64(4), True, "4"],
+                             ids=["fraction", "integral-float", "numpy-float", "bool", "str"])
+    def test_non_integer_rejected(self, n):
+        with pytest.raises(ValueError, match="block length must be an integer"):
+            SourceModel(SKEWED, n, 0.3)
+        with pytest.raises(ValueError, match="block length must be an integer"):
+            diag_source(n, 0.3)
+
+    def test_numpy_integer_accepted(self):
+        assert len(typical_set(SourceModel(SKEWED, np.int64(4), 0.3))) == 4
+        assert np.trace(typical_subspace_projector(diag_source(np.int32(4), 0.3))).real == \
+            pytest.approx(4.0)
+
 
 class TestTypicalSet:
     def test_uniform_source_gives_everything(self):
@@ -119,14 +146,31 @@ class TestShannonScheme:
 
     def test_round_trip_exactly_on_included_set(self):
         m = SourceModel(SKEWED, 8, 0.25)
-        s = shannon_scheme(m, 0.95)
-        included = set(s.included)
-        for seq in product((0, 1), repeat=8):
-            idx = s.compress(seq)
-            if seq in included:
-                assert s.decompress(idx) == seq
-            else:
-                assert idx == 0 and s.decompress(idx) is None
+        for rate in (0.95, 0.5):   # the whole typical set, then a trimmed one
+            s = shannon_scheme(m, rate)
+            # nothing is listed until compress, decompress or included asks for it
+            assert "included" not in vars(s) and "_to_index" not in vars(s)
+            assert s.decompress(1) == s.included[0]
+            included = set(s.included)
+            assert len(included) == min(s.set_size, (1 << s.index_bits) - 1)
+            if rate == 0.95:
+                assert s.included == typical_set(m)
+            for seq in product((0, 1), repeat=8):
+                idx = s.compress(seq)
+                if seq in included:
+                    assert s.decompress(idx) == seq
+                else:
+                    assert idx == 0 and s.decompress(idx) is None
+
+    def test_non_integer_symbols_compress_to_failure(self):
+        s = shannon_scheme(SourceModel(SKEWED, 4, 0.3), 1.0)
+        idx = s.compress((0, 0, 0, 1))
+        assert idx > 0 and s.decompress(idx) == (0, 0, 0, 1)
+        assert s.compress(np.array([0, 0, 0, 1])) == idx
+        assert s.compress(x for x in (0, 0, 0, np.int64(1))) == idx
+        assert s.compress([0.9, 0, 0, 1.7]) == 0
+        assert s.compress([0, 0, 0, 1.0]) == 0
+        assert s.compress(np.array([0.0, 0.0, 0.0, 1.0])) == 0
 
     def test_high_rate_is_reliable(self):
         s = shannon_scheme(SourceModel(SKEWED, 12, 0.3), 0.95)
@@ -146,6 +190,27 @@ class TestShannonScheme:
     def test_reliability_is_exact_mass(self, probs, n, rate):
         s = shannon_scheme(SourceModel(probs, n, 0.25), rate)
         assert s.reliability == sum(sequence_prob(seq, probs) for seq in s.included)
+
+    # The scheme sums its table; typical_set and typical_set_mass list and sum
+    # member by member.  Same products, same order, so the two agree exactly on
+    # both rate paths.  The first rate of each pair indexes the whole typical
+    # set; the second trims it in every family from n = 4 on.
+    @pytest.mark.parametrize("probs,n,eps,rates", [
+        pytest.param(probs, n, eps, rates, id=f"{name}-n{n}")
+        for name, probs, eps, rates, top in [
+            ("binary", SKEWED, 0.3, (1.0, 0.7), 18),
+            ("ternary", (0.5, 0.3, 0.2), 0.3, (1.75, 1.3), 11),
+            ("zero-symbol", (0.7, 0.0, 0.3), 0.4, (1.2, 0.5), 9),
+        ] for n in range(1, top + 1)])
+    def test_table_sums_equal_the_member_sums(self, probs, n, eps, rates):
+        m = SourceModel(probs, n, eps)
+        size, mass = len(typical_set(m)), typical_set_mass(m)
+        schemes = [shannon_scheme(m, rate) for rate in rates if rate * n >= 1.0]
+        for s in schemes:
+            assert s.set_size == size and s.set_mass == mass
+        assert schemes[0].reliability == mass
+        if n >= 4:
+            assert len(schemes[1].included) < size and schemes[1].reliability < mass
 
     def test_sequence_prob_equals_the_running_product(self, rng):
         for _ in range(5000):
