@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _check
 from .codes import CssCode, _coset_keys, _decode_rows, _syndrome_lookup, coset_key, decode
 from .entropy import mutual_information
 from .qentropy import coherent_information, holevo_chi
@@ -70,8 +71,7 @@ class ChannelModel:
     def __post_init__(self):
         if self.kind not in ("ideal", "depolarizing", "intercept_resend"):
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        if not 0.0 <= self.param <= 1.0:
-            raise ValueError("channel parameter must lie in [0, 1]")
+        _check.real(self.param, "param", 0, 1)
 
     def operation(self) -> QuantumChannel:
         """The model as a single-qubit trace-preserving operation."""
@@ -97,10 +97,11 @@ class ProtocolConfig:
     master_seed: int
 
     def __post_init__(self):
-        if self.n < 1 or not 0.0 <= self.delta < math.inf:
-            raise ValueError("need n >= 1 and finite delta >= 0")
-        if not 0 <= self.threshold < self.n:
-            raise ValueError("threshold must satisfy 0 <= t < n")
+        _check.integer(self.n, "n", 1)
+        _check.real(self.delta, "delta", 0)
+        if _check.integer(self.threshold, "threshold", 0) >= self.n:
+            raise ValueError(f"threshold must be < n = {self.n}, got {self.threshold}")
+        _check.integer(self.master_seed, "master_seed")
         if self.code.logical_bits < 0 or self.code.t < 1:
             raise ValueError("reconciliation needs a CSS code correcting >= 1 error")
         if self.n < self.code.n:
@@ -291,7 +292,7 @@ def run_bb84(cfg: ProtocolConfig, ch: ChannelModel) -> ProtocolTranscript:
 def run_batch(cfg: ProtocolConfig, ch: ChannelModel, trials: int) -> list[ProtocolTranscript]:
     """Independent protocol runs with per-trial seeds derived from the master."""
     out = []
-    for i in range(trials):
+    for i in range(_check.integer(trials, "trials", 0)):
         trial_seed = int(stream(cfg.master_seed, "trial", str(i)).integers(0, 2 ** 62))
         out.append(run_bb84(replace(cfg, master_seed=trial_seed), ch))
     return out

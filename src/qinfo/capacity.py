@@ -15,6 +15,7 @@ import math
 import numpy as np
 import scipy.optimize
 
+from . import _check
 from .entropy import mutual_information, validate_dist, validate_stochastic
 from .qentropy import _holevo, _mix, von_neumann_entropy
 from .rng import stream
@@ -36,12 +37,6 @@ def channel_mutual_info(px, transition) -> float:
     return mutual_information(px[:, None] * t)
 
 
-def _check_tol(tol: float) -> None:
-    """Reject a nan, infinite or negative stopping tolerance; none ends a search meaningfully."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
-
-
 class ConvergenceError(RuntimeError):
     """Iteration cap reached; carries the best estimate found so far."""
 
@@ -60,7 +55,8 @@ def channel_capacity(transition, tol: float = 1e-9,
     that no input can produce are dropped before iterating (support
     restriction), which also keeps every logarithm finite.
     """
-    _check_tol(tol)
+    _check.real(tol, "tol", 0)
+    _check.integer(max_iter, "max_iter", 1)
     t = validate_stochastic(transition)
     live_cols = t.sum(axis=0) > 0.0
     t = t[:, live_cols]
@@ -92,15 +88,13 @@ def channel_capacity(transition, tol: float = 1e-9,
 
 def bsc(flip: float) -> np.ndarray:
     """Binary symmetric channel; capacity 1 - H_bin(flip)."""
-    if not 0.0 <= flip <= 1.0:
-        raise ValueError("flip probability must lie in [0, 1]")
+    _check.real(flip, "flip", 0, 1)
     return np.array([[1.0 - flip, flip], [flip, 1.0 - flip]])
 
 
 def bec(erase: float) -> np.ndarray:
     """Binary erasure channel (third output = erasure); capacity 1 - erase."""
-    if not 0.0 <= erase <= 1.0:
-        raise ValueError("erasure probability must lie in [0, 1]")
+    _check.real(erase, "erase", 0, 1)
     return np.array([[1.0 - erase, erase, 0.0], [0.0, erase, 1.0 - erase]])
 
 
@@ -170,9 +164,9 @@ def hsw_capacity_estimate(op: QuantumChannel, restarts: int = 16, tol: float = 1
     ``restarts``.  Evaluations run the kernels behind ``hsw_chi`` on stacked
     arrays without validating; only the winner becomes a list of pairs.
     """
-    if restarts < 0:
-        raise ValueError("restarts must be >= 0")
-    _check_tol(tol)
+    _check.integer(restarts, "restarts", 0)
+    _check.real(tol, "tol", 0)
+    _check.integer(seed, "seed")
     d = op.dim_in
     m = d * d
     size = m + m * 2 * d

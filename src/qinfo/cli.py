@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from . import bb84, capacity, codes, entropy, formats, qentropy, typical
+from . import _check, bb84, capacity, codes, entropy, formats, qentropy, typical
 from .states import DensityMatrix
 
 
@@ -129,20 +130,19 @@ def _css_from_config(obj) -> codes.CssCode:
 
 
 def cmd_qkd(args) -> int:
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
+    _check.integer(args.trials, "--trials", 1)
     conf = _read_json(args.config)
     if not isinstance(conf, dict) or not isinstance(conf.get("channel"), dict):
         raise ValueError("qkd config must be a JSON object whose channel is an object")
     css = _css_from_config(conf.get("code", "steane"))
-    try:
-        n = int(conf["n"])
-        threshold = int(conf.get("threshold", round(0.11 * n)))
-        delta, param = float(conf.get("delta", 1.0)), float(conf["channel"].get("param", 0.0))
-    except (TypeError, OverflowError):
-        raise ValueError("qkd config n, threshold, delta and param must be numbers") from None
-    cfg = bb84.ProtocolConfig(
-        n=n, delta=delta, threshold=threshold, code=css, master_seed=args.seed)
+    n, delta, param = conf["n"], conf.get("delta", 1.0), conf["channel"].get("param", 0.0)
+    # JSON numbers only (no bool, str, null, or json's non-standard NaN and Infinity)
+    if not all(type(v) is int or type(v) is float and math.isfinite(v)
+               for v in (n, conf.get("threshold", 0), delta, param)):
+        raise ValueError("qkd config n, threshold, delta and param must be numbers: "
+                         "integers n and threshold, finite delta and param")
+    cfg = bb84.ProtocolConfig(n=n, delta=delta, threshold=conf.get("threshold", round(0.11 * n)),
+                              code=css, master_seed=args.seed)
     ch = bb84.ChannelModel(conf["channel"]["kind"], param)
     transcripts = bb84.run_batch(cfg, ch, args.trials)
 
@@ -223,7 +223,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, capacity.ConvergenceError) as exc:
+    except KeyError as exc:   # a JSON object lacks a required field
+        print(f"error: missing field {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError, OverflowError, capacity.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import _check
 from .entropy import binary_entropy
 
 TOL_AMP = 1e-9  # amplitudes below this are treated as zero
@@ -40,6 +41,14 @@ def bits(value) -> np.ndarray:
     return b.astype(np.uint8)
 
 
+def _sized_bits(value, size: int, what: str = "word") -> np.ndarray:
+    """bits(value), which must hold exactly size bits."""
+    b = bits(value)
+    if b.size != size:
+        raise ValueError(f"{what} length {b.size} != {size}")
+    return b
+
+
 def bits_to_str(b: np.ndarray) -> str:
     return (np.asarray(b, np.uint8) + 48).tobytes().decode("ascii")
 
@@ -50,15 +59,15 @@ def bits_to_index(b: np.ndarray) -> int:
 
 
 def index_to_bits(idx: int, n: int) -> np.ndarray:
+    _check.integer(idx, "idx", 0)
+    _check.integer(n, "n", int(idx).bit_length())   # n bits must hold idx
     return np.unpackbits(np.frombuffer(int(idx).to_bytes((n + 7) // 8, "big"), np.uint8))[-n % 8:]
 
 
 def hamming_distance(a, b) -> int:
     """Number of positions where two equal-length bit strings differ."""
-    a, b = bits(a), bits(b)
-    if a.size != b.size:
-        raise ValueError("bit strings must have equal length")
-    return int(np.sum(a ^ b))
+    a = bits(a)
+    return int(np.sum(a ^ _sized_bits(b, a.size, "bit string")))
 
 
 def in_sphere(center, s, radius: int) -> bool:
@@ -220,18 +229,13 @@ class LinearCode:
 
 def encode(code: LinearCode, msg) -> np.ndarray:
     """Codeword G m of a k-bit message."""
-    m = bits(msg) if code.k else np.zeros(0, dtype=np.uint8)
-    if m.size != code.k:
-        raise ValueError(f"message length {m.size} != k = {code.k}")
+    m = _sized_bits(msg, code.k, "message") if code.k else np.zeros(0, dtype=np.uint8)
     return gf2_mul(code.generator, m)
 
 
 def syndrome(code: LinearCode, received) -> np.ndarray:
     """H y: zero exactly on codewords, and H(y + e) = H e."""
-    y = bits(received)
-    if y.size != code.n:
-        raise ValueError(f"received length {y.size} != n = {code.n}")
-    return gf2_mul(code.parity_check, y)
+    return gf2_mul(code.parity_check, _sized_bits(received, code.n))
 
 
 def syndrome_table(code: LinearCode, t: int) -> dict[bytes, np.ndarray]:
@@ -240,6 +244,7 @@ def syndrome_table(code: LinearCode, t: int) -> dict[bytes, np.ndarray]:
     Patterns are enumerated by increasing weight and, within a weight, by
     position order, so the lowest-index pattern deterministically wins a tie.
     """
+    _check.integer(t, "t", 0)
     table: dict[bytes, np.ndarray] = {}
     for w in range(t + 1):
         for positions in combinations(range(code.n), w):
@@ -251,20 +256,11 @@ def syndrome_table(code: LinearCode, t: int) -> dict[bytes, np.ndarray]:
     return table
 
 
-def _check_t(t) -> None:
-    if not isinstance(t, (int, np.integer)) or t < 0:
-        raise ValueError(f"t must be >= 0, a non-negative integer, got {t}")
-
-
-def _check_radius(code: LinearCode, t: int) -> None:
-    _check_t(t)
-    if code.distance is not None and 2 * t + 1 > code.distance:
-        raise ValueError(f"t={t} exceeds the correction radius of d={code.distance}")
-
-
 def _syndrome_lookup(code: LinearCode, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sorted uint64 syndrome keys, patterns and bit weights of syndrome_table, cached per t."""
-    _check_radius(code, t)
+    _check.integer(t, "t", 0)   # also keeps a float such as 1.0 off the cache key 1
+    if code.distance is not None and 2 * t + 1 > code.distance:
+        raise ValueError(f"t={t} exceeds the correction radius of d={code.distance}")
     lookup = code._syndrome_tables.get(t)
     if lookup is None:
         h = code.parity_check
@@ -298,9 +294,7 @@ def decode(code: LinearCode, received, t: int) -> tuple[np.ndarray, np.ndarray] 
     <= t explains the syndrome.  Raises ValueError unless n - k <= 64 and,
     when the distance is known, 2t + 1 <= d, so the correction is unique.
     """
-    y = bits(received)
-    if y.size != code.n:
-        raise ValueError(f"received length {y.size} != n = {code.n}")
+    y = _sized_bits(received, code.n)
     v, found = _decode_rows(code, y[None, :], t)
     return (v[0], y ^ v[0]) if found[0] else None
 
@@ -326,11 +320,16 @@ class BoundsReport:
     meets_gv_rate: bool       # k/n >= gv_rate
 
 
+def _known_distance(code: LinearCode) -> int:
+    """code.distance, which bounds and CSS radii need (it is None above k = 16)."""
+    if code.distance is None:
+        raise ValueError(f"distance of {code!r} unavailable")
+    return code.distance
+
+
 def code_bounds(code: LinearCode) -> BoundsReport:
     """Singleton check and Gilbert-Varshamov rate for a code of known distance."""
-    if code.distance is None:
-        raise ValueError("distance unavailable; bounds need it")
-    d = code.distance
+    d = _known_distance(code)
     t = (d - 1) // 2
     gv = 1.0 - binary_entropy(t / code.n)
     return BoundsReport(
@@ -356,11 +355,7 @@ def css_code_bounds(code: "CssCode") -> QuantumBoundsReport:
     The code distance is the smaller of d(C1) and d(dual C2); the GV rate is
     informational only (no construction attains it here).
     """
-    d1 = code.c1.distance
-    d2perp = code.dual_c2.distance
-    if d1 is None or d2perp is None:
-        raise ValueError("distance unavailable; bounds need it")
-    d = min(d1, d2perp)
+    d = min(_known_distance(code.c1), _known_distance(code.dual_c2))
     k = code.logical_bits
     return QuantumBoundsReport(
         n=code.n, k=k, distance=d,
@@ -385,12 +380,9 @@ class CssCode:
                 raise ValueError("C2 is not contained in C1")
         self.c1 = c1
         self.c2 = c2
-        self.u = bits(u) if u is not None else np.zeros(c1.n, dtype=np.uint8)
-        self.v = bits(v) if v is not None else np.zeros(c1.n, dtype=np.uint8)
-        if self.u.size != c1.n or self.v.size != c1.n:
-            raise ValueError("u and v must have length n")
-        _check_t(t)
-        self.t = int(t)
+        self.u = _sized_bits(u, c1.n) if u is not None else np.zeros(c1.n, dtype=np.uint8)
+        self.v = _sized_bits(v, c1.n) if v is not None else np.zeros(c1.n, dtype=np.uint8)
+        self.t = int(_check.integer(t, "t", 0))
         self._key_cache = None
 
     @property
@@ -417,9 +409,7 @@ def css_construct(c1: LinearCode, c2: LinearCode, u=None, v=None) -> CssCode:
     dual of C2 (both must correct at least one error).
     """
     c2perp = dual_code(c2)
-    d1, d2perp = c1.distance, c2perp.distance
-    if d1 is None or d2perp is None:
-        raise ValueError("component distances unavailable")
+    d1, d2perp = _known_distance(c1), _known_distance(c2perp)
     t = min((d1 - 1) // 2, (d2perp - 1) // 2)
     if t < 1:
         raise ValueError(f"insufficient distance: C1 d={d1}, dual(C2) d={d2perp}")
@@ -479,10 +469,7 @@ def coset_key(code: CssCode, v) -> np.ndarray:
     ascending position order.  Representatives of the same coset map to the
     same key.
     """
-    v = bits(v)
-    if v.size != code.n:
-        raise ValueError(f"word length {v.size} != n = {code.n}")
-    return _coset_keys(code, v[None, :])[0]
+    return _coset_keys(code, _sized_bits(v, code.n)[None, :])[0]
 
 
 def css_basis_state(code: CssCode, x) -> np.ndarray:
@@ -605,11 +592,13 @@ def simulate_css_correction(code: CssCode, x, e1, e2) -> CssCorrectionResult:
 # [1,0,0,0]) == [1,0,0,0,0,1,1].
 
 def repetition_code(n: int = 3) -> LinearCode:
+    _check.integer(n, "n", 1)
     return LinearCode(np.ones((n, 1), dtype=np.uint8))
 
 
 def parity_code(n: int = 3) -> LinearCode:
     """[n, n-1, 2] even-weight code."""
+    _check.integer(n, "n", 1)
     g = np.vstack([np.eye(n - 1, dtype=np.uint8), np.ones((1, n - 1), dtype=np.uint8)])
     return LinearCode(g)
 

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from . import _check
 from .states import TOL_NORM
 
 
@@ -54,8 +55,7 @@ def shannon_entropy(p) -> float:
 
 def binary_entropy(p: float) -> float:
     """H(p, 1-p); symmetric about 1/2 where it attains its maximum 1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("binary_entropy needs p in [0, 1]")
+    _check.real(p, "p", 0, 1)
     out = 0.0
     if p > 0.0:
         out -= p * math.log2(p)
@@ -92,11 +92,9 @@ def marginal(table, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def _axis_tuple(axes, ndim: int) -> tuple[int, ...]:
-    if isinstance(axes, (int, np.integer)):
-        axes = (int(axes),)
-    axes = tuple(int(a) for a in axes)
+    axes = tuple(axes) if np.iterable(axes) else (axes,)
     for a in axes:
-        if not 0 <= a < ndim:
+        if _check.integer(a, "axis", 0) >= ndim:
             raise ValueError(f"axis {a} out of range for {ndim} variables")
     if len(set(axes)) != len(axes):
         raise ValueError("repeated axis")
@@ -137,10 +135,8 @@ def mutual_information(table, axes_a=(0,), axes_b=(1,)) -> float:
 
 def fano_bound(p_err: float, alphabet_size: int) -> float:
     """H(p_e) + p_e log2(|X|-1), an upper bound on H(X|Y) at guessing error p_e."""
-    if not 0.0 <= p_err <= 1.0:
-        raise ValueError("error probability must lie in [0, 1]")
-    if alphabet_size < 2:
-        raise ValueError("alphabet must have at least two symbols")
+    _check.real(p_err, "p_err", 0, 1)
+    _check.integer(alphabet_size, "alphabet_size", 2)
     return binary_entropy(p_err) + p_err * math.log2(alphabet_size - 1)
 
 

@@ -17,8 +17,9 @@ import math
 
 import numpy as np
 
+from . import _check
 from .bb84 import ProtocolTranscript
-from .codes import LinearCode, bits_to_str
+from .codes import LinearCode, _sized_bits, bits_to_str
 
 
 def fmt(value: float) -> str:
@@ -46,9 +47,9 @@ def _floats(obj, what: str) -> np.ndarray:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    if not isinstance(obj, dict) or not isinstance(obj.get("dim"), int):
+    if not isinstance(obj, dict):
         raise ValueError("matrix must be a JSON object with an integer dim")
-    d = obj["dim"]
+    d = _check.integer(obj.get("dim"), "matrix dim", 1)
     re = _floats(obj["re"], "matrix re")
     im = _floats(obj["im"], "matrix im") if "im" in obj else np.zeros(d * d)
     if re.size != d * d or im.size != d * d:
@@ -89,9 +90,7 @@ def code_from_text(text: str) -> LinearCode:
         raise ValueError(f"expected {k} generator columns")
     gen = np.zeros((n, k), dtype=np.uint8)
     for j, col in enumerate(cols):
-        if len(col) != n or set(col) - {"0", "1"}:
-            raise ValueError(f"generator column {j} must be {n} characters of 0/1")
-        gen[:, j] = [int(c) for c in col]
+        gen[:, j] = _sized_bits(col, n, f"generator column {j}")
     rest = lines[1 + k:]
     parity = None
     if rest:
@@ -102,9 +101,7 @@ def code_from_text(text: str) -> LinearCode:
             raise ValueError(f"expected {n - k} parity rows")
         parity = np.zeros((n - k, n), dtype=np.uint8)
         for i, row in enumerate(rows):
-            if len(row) != n or set(row) - {"0", "1"}:
-                raise ValueError(f"parity row {i} must be {n} characters of 0/1")
-            parity[i] = [int(c) for c in row]
+            parity[i] = _sized_bits(row, n, f"parity row {i}")
     return LinearCode(gen, parity)
 
 

@@ -21,6 +21,7 @@ from .states import (
     TOL_RECON,
     DensityMatrix,
     QuantumChannel,
+    _bipartite,
     apply_channel,
     as_density,
     clamp_spectrum,
@@ -45,10 +46,7 @@ def quantum_relative_entropy(rho, sigma) -> float:
     eigenbasis with clamped eigenvalues; if rho has weight on sigma's kernel
     the measure is infinite (support violation).
     """
-    rho = as_density(rho)
-    sigma = as_density(sigma)
-    if rho.dim != sigma.dim:
-        raise ValueError("states must share a dimension")
+    rho, sigma = _same_dim(rho, sigma)
     ws, vs = eig_hermitian(sigma.mat)
     ws = clamp_spectrum(ws)
     # weight of rho on each sigma eigenvector
@@ -62,10 +60,20 @@ def quantum_relative_entropy(rho, sigma) -> float:
     return -von_neumann_entropy(rho) - term_sigma
 
 
-def _bipartite(rho) -> DensityMatrix:
+def _same_dim(rho, sigma) -> tuple[DensityMatrix, DensityMatrix]:
+    """Both states as DensityMatrix, which must share a dimension."""
+    rho, sigma = as_density(rho), as_density(sigma)
+    if rho.dim != sigma.dim:
+        raise ValueError(f"states must share a dimension, got {rho.dim} and {sigma.dim}")
+    return rho, sigma
+
+
+def _square_channel(rho, op: QuantumChannel) -> DensityMatrix:
+    """rho as a DensityMatrix, for a channel that must map its space to itself."""
     rho = as_density(rho)
-    if rho.dims is None or len(rho.dims) != 2:
-        raise ValueError("operation needs a state with two subsystem dims")
+    if op.dim_in != rho.dim or op.dim_out != rho.dim:
+        raise ValueError(f"channel {op.dim_in} -> {op.dim_out} must be square and match "
+                         f"the state dimension {rho.dim}")
     return rho
 
 
@@ -169,9 +177,7 @@ def entropy_exchange(rho, op: QuantumChannel) -> float:
     Purify rho with a reference R, apply I_R (x) E, and take the entropy of
     the joint output R'Q'.  Independent of the purification chosen.
     """
-    rho = as_density(rho)
-    if op.dim_in != rho.dim or op.dim_out != rho.dim:
-        raise ValueError("entropy exchange needs a square channel matching the state")
+    rho = _square_channel(rho, op)
     return von_neumann_entropy(op.extend_left(rho.dim).apply_mat(outer(purify(rho))))
 
 
@@ -186,10 +192,7 @@ def fidelity(rho, sigma) -> float:
 
     Symmetric, 1 iff the states coincide, and |<psi|phi>| on pure states.
     """
-    rho = as_density(rho)
-    sigma = as_density(sigma)
-    if rho.dim != sigma.dim:
-        raise ValueError("states must share a dimension")
+    rho, sigma = _same_dim(rho, sigma)
     w, v = eig_hermitian(rho.mat)
     sqrt_rho = v @ np.diag(np.sqrt(clamp_spectrum(w)).astype(complex)) @ dag(v)
     inner = sqrt_rho @ sigma.mat @ sqrt_rho
@@ -203,9 +206,7 @@ def entanglement_fidelity(rho, op: QuantumChannel) -> float:
     Equals the squared overlap of a purification with the channel output on
     the purified state.
     """
-    rho = as_density(rho)
-    if op.dim_in != rho.dim or op.dim_out != rho.dim:
-        raise ValueError("entanglement fidelity needs a square channel matching the state")
+    rho = _square_channel(rho, op)
     total = 0.0
     for k in op.kraus:
         total += abs(np.trace(rho.mat @ k)) ** 2

@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from . import _check
+
 # Numerical tolerances.  Double precision with headroom for eigendecompositions
 # up to dimension 64.
 TOL_NORM = 1e-9    # trace / probability normalisation
@@ -100,8 +102,6 @@ class DensityMatrix:
         if abs(tr - 1.0) > TOL_NORM:
             raise ValueError(f"density matrix trace is {float(tr)}, expected 1")
         w = np.linalg.eigvalsh(m)
-        if w.min() < -TOL_EIG:
-            raise ValueError(f"density matrix has negative eigenvalue {float(w.min())}")
         if dims is not None:
             dims = tuple(int(d) for d in dims)
             if int(np.prod(dims)) != m.shape[0]:
@@ -119,12 +119,7 @@ class DensityMatrix:
     @classmethod
     def pure(cls, amplitudes: np.ndarray, dims: tuple[int, ...] | None = None) -> "DensityMatrix":
         """Density matrix |psi><psi| of a normalised state vector."""
-        psi = np.asarray(amplitudes, dtype=complex).ravel()
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"state vector norm is {float(norm)}, expected 1")
-        psi = psi / norm
-        return cls(outer(psi), dims)
+        return cls(outer(_unit_vector(amplitudes)), dims)
 
     @classmethod
     def maximally_mixed(cls, dim: int, dims: tuple[int, ...] | None = None) -> "DensityMatrix":
@@ -148,6 +143,23 @@ def as_density(rho, dims: tuple[int, ...] | None = None) -> DensityMatrix:
             return rho.with_dims(tuple(dims))
         return rho
     return DensityMatrix(rho, dims)
+
+
+def _unit_vector(amplitudes) -> np.ndarray:
+    """Flat complex vector of unit norm (within 1e-6), renormalised exactly."""
+    psi = np.asarray(amplitudes, dtype=complex).ravel()
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > 1e-6:
+        raise ValueError(f"state vector norm is {float(norm)}, expected 1")
+    return psi / norm
+
+
+def _bipartite(rho) -> DensityMatrix:
+    """rho as a DensityMatrix, which must carry exactly two subsystem dims."""
+    rho = as_density(rho)
+    if rho.dims is None or len(rho.dims) != 2:
+        raise ValueError(f"state must carry two subsystem dims, got {rho.dims}")
+    return rho
 
 
 def clamp_spectrum(w: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
@@ -193,9 +205,7 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     ``keep`` is "A" (left factor) or "B" (right factor); the other subsystem is
     traced out.  The input must carry exactly two subsystem dims.
     """
-    rho = as_density(rho)
-    if rho.dims is None or len(rho.dims) != 2:
-        raise ValueError("partial_trace needs a state with two subsystem dims")
+    rho = _bipartite(rho)
     da, db = rho.dims
     t = rho.mat.reshape(da, db, da, db)
     if keep == "A":
@@ -209,25 +219,14 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
 
 def apply_unitary(rho: DensityMatrix, u: np.ndarray) -> DensityMatrix:
     """U rho U^dagger.  Trace and spectrum are preserved."""
-    rho = as_density(rho)
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (rho.dim, rho.dim):
-        raise ValueError(f"unitary shape {u.shape} does not match dim {rho.dim}")
-    if not is_unitary(u):
-        raise ValueError("matrix is not unitary")
-    return DensityMatrix(u @ rho.mat @ dag(u), rho.dims)
+    return apply_channel(rho, unitary_channel(u))
 
 
 def check_measurement(operators: list[np.ndarray], dim: int) -> None:
-    """Raise unless sum_m M_m^dagger M_m == I (completeness relation)."""
-    acc = np.zeros((dim, dim), dtype=complex)
-    for m in operators:
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (dim, dim):
-            raise ValueError(f"measurement operator shape {m.shape} != ({dim},{dim})")
-        acc += dag(m) @ m
-    if not np.max(np.abs(acc - np.eye(dim))) <= TOL_UNIT:
-        raise ValueError("measurement operators do not satisfy the completeness relation")
+    """Raise unless each M_m is dim x dim and sum_m M_m^dagger M_m == I (completeness)."""
+    if any(np.shape(m) != (dim, dim) for m in operators):
+        raise ValueError(f"measurement operators must be {dim} x {dim}")
+    QuantumChannel(operators)   # completeness is the Kraus trace-preservation rule
 
 
 def measure(rho: DensityMatrix, operators: list[np.ndarray]) -> list[tuple[float, DensityMatrix | None]]:
@@ -274,10 +273,8 @@ class QuantumChannel:
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         din = ops[0].shape[1]
-        if any(k.shape[1] != din for k in ops):
-            raise ValueError("Kraus operators have inconsistent input dimension")
         if any(k.shape != ops[0].shape for k in ops):
-            raise ValueError("Kraus operators have inconsistent output dimension")
+            raise ValueError("Kraus operators have inconsistent input or output dimension")
         stack = np.array(ops)
         acc = np.zeros((din, din), dtype=complex)
         for k in stack:
@@ -356,8 +353,7 @@ def unitary_channel(u: np.ndarray) -> QuantumChannel:
 
 def depolarizing_channel(f: float) -> QuantumChannel:
     """Qubit channel rho -> (1-f) rho + f I/2, in Pauli Kraus form."""
-    if not 0.0 <= f <= 1.0:
-        raise ValueError("depolarizing strength must lie in [0, 1]")
+    _check.real(f, "f", 0, 1)
     return QuantumChannel([
         np.sqrt(1.0 - 3.0 * f / 4.0) * ID2,
         np.sqrt(f / 4.0) * PAULI_X,
@@ -392,14 +388,10 @@ def schmidt_decompose(psi: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarra
     descending order satisfying ``sum coeffs**2 == 1`` and
     ``psi == sum_i coeffs[i] * kron(basis_a[:, i], basis_b[:, i])``.
     """
-    psi = np.asarray(psi, dtype=complex).ravel()
+    psi = _unit_vector(psi)
     da, db = int(dims[0]), int(dims[1])
     if da * db != psi.size:
         raise ValueError(f"dims {dims} do not match a vector of length {psi.size}")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"state vector norm is {float(norm)}, expected 1")
-    psi = psi / norm
     m = psi.reshape(da, db)
     u, s, vh = np.linalg.svd(m)
     return s, u, vh.T
@@ -412,9 +404,8 @@ def thermal_state(h: np.ndarray, beta: float) -> DensityMatrix:
     ground space.  Computed in the eigenbasis with the spectrum shifted for
     numerical stability, so it commutes with H by construction.
     """
+    _check.real(beta, "beta", 0)
     h = np.asarray(h, dtype=complex)
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
     w, v = eig_hermitian(h)
     logits = -beta * (w - w.min())
     p = np.exp(logits)

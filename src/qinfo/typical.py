@@ -22,6 +22,7 @@ from itertools import compress, product
 
 import numpy as np
 
+from . import _check
 from .entropy import shannon_entropy, validate_dist
 from .states import DensityMatrix, as_density, clamp_spectrum, dag, eig_hermitian, ket, outer
 
@@ -38,7 +39,8 @@ class SourceModel:
 
     def __post_init__(self):
         validate_dist(np.asarray(self.probs))
-        _check_block(self.block_length, self.epsilon)
+        _check.integer(self.block_length, "block length", 1)
+        _check.real(self.epsilon, "epsilon", 0, strict=True)
 
     @property
     def alphabet_size(self) -> int:
@@ -57,17 +59,9 @@ class QuantumSourceModel:
     epsilon: float
 
     def __post_init__(self):
-        as_density(self.rho)
-        _check_block(self.block_length, self.epsilon)
-
-
-def _check_block(block_length, epsilon) -> None:
-    if isinstance(block_length, bool) or not isinstance(block_length, (int, np.integer)):
-        raise ValueError(f"block length must be an integer, got {block_length!r}")
-    if block_length < 1:
-        raise ValueError("block length must be at least 1")
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+        object.__setattr__(self, "rho", as_density(self.rho))   # validated once, kept
+        _check.integer(self.block_length, "block length", 1)
+        _check.real(self.epsilon, "epsilon", 0, strict=True)
 
 
 def sequence_prob(seq, probs) -> float:
@@ -179,8 +173,7 @@ class ShannonScheme:
         # The table's size cap is checked before the rate, so a compress row
         # that fails both reports the cap.
         mask, prob = _typical_table(model)
-        if not math.isfinite(rate):
-            raise ValueError(f"rate must be finite, got {rate}")
+        _check.real(rate, "rate")
         if rate * model.block_length < 1.0:
             raise ValueError("rate times block length must be at least 1 bit")
         self.model = model
@@ -229,10 +222,9 @@ def shannon_scheme(model: SourceModel, rate: float) -> ShannonScheme:
 
 def _eigen_table(q: QuantumSourceModel) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Eigenvectors of the single-copy state and the typical table of its eigenvalues."""
-    rho = as_density(q.rho)
-    if rho.dim ** q.block_length > QUANTUM_DIM_CAP:
+    if q.rho.dim ** q.block_length > QUANTUM_DIM_CAP:
         raise ValueError("dense quantum block above the dimension cap")
-    w, v = eig_hermitian(rho.mat)
+    w, v = eig_hermitian(q.rho.mat)
     w = clamp_spectrum(w)
     w = w / w.sum()
     return v, _typical_table(SourceModel(tuple(w), q.block_length, q.epsilon))
@@ -259,8 +251,7 @@ def _kron_power(m: np.ndarray, n: int) -> np.ndarray:
 
 def block_state(q: QuantumSourceModel) -> np.ndarray:
     """rho^(x n) as a dense matrix."""
-    rho = as_density(q.rho)
-    return _kron_power(rho.mat, q.block_length)
+    return _kron_power(q.rho.mat, q.block_length)
 
 
 def schumacher_compress(q: QuantumSourceModel, sigma) -> DensityMatrix:

@@ -428,6 +428,18 @@ class TestGoldenTranscripts:
         text = formats.dump_json([formats.transcript_to_json(t) for t in ts])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("row", [GOLDEN[7], GOLDEN[9]], ids=["n64-eve", "n512-depolarizing"])
+    def test_numpy_integer_parameters_give_the_same_bytes(self, row):
+        # rng.stream keys every stream on an f-string of the seed, so a NumPy
+        # integer must format and compare exactly like the Python int
+        n, seed, kind, param, digest = row
+        cfg = ProtocolConfig(n=np.int64(n), delta=GOLDEN_DELTA[n],
+                             threshold=np.int64(round(0.11 * n)), code=STEANE,
+                             master_seed=np.int64(seed))
+        ts = run_batch(cfg, ChannelModel(kind, param), np.int64(4))
+        text = formats.dump_json([formats.transcript_to_json(t) for t in ts])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_golden_set_covers_every_outcome(self):
         reasons, failed_blocks = set(), 0
         for n, seed, kind, param, _ in GOLDEN:

@@ -333,9 +333,13 @@ class TestBadInput:
                      "finite delta", id="qkd-delta-infinite"),
         pytest.param(QKD, {"n": 3, "channel": {"kind": "ideal"}}, "shorter than one code block",
                      id="qkd-n-below-code-block"),
+        pytest.param(QKD, {"channel": {"kind": "ideal"}}, "missing field 'n'", id="qkd-no-n"),
+        pytest.param(QKD, {"n": 64, "channel": {}}, "missing field 'kind'", id="qkd-no-kind"),
         pytest.param(["entropy", "--inline", '{"a":1}'], None, "distribution",
                      id="entropy-object"),
         pytest.param(["qinfo", "--density", "{bad}"], [1, 0, 0, 1], "matrix", id="density-list"),
+        pytest.param(["qinfo", "--density", "{bad}"], {"dim": True, "re": [1.0]}, "matrix dim",
+                     id="density-dim-bool"),
         pytest.param(["capacity", "--channel", "{bad}"], [[0.9, 0.1], [0.1, 0.9]], "channel",
                      id="channel-list"),
         pytest.param(["compress", "--probs", "5", "--blocks", "4", "--eps", "0.3"], None,
