@@ -99,7 +99,7 @@ def bec(erase: float) -> np.ndarray:
 
 
 def noiseless(k: int) -> np.ndarray:
-    return np.eye(k)
+    return np.eye(_check.integer(k, "k", 1))
 
 
 def _row_norms(vecs: np.ndarray) -> np.ndarray:

@@ -90,10 +90,7 @@ def cmd_compress(args) -> int:
         for n in blocks:
             q = typical.QuantumSourceModel(
                 DensityMatrix(np.diag(np.asarray(probs, dtype=complex))), n, args.eps)
-            p = typical.typical_subspace_projector(q)
-            rank = int(round(np.trace(p).real))
-            mass = float(np.trace(p @ typical.block_state(q)).real)
-            fid = typical.schumacher_fidelity(q)
+            rank, mass, fid = typical.schumacher_summary(q)
             lines.append(",".join([str(n), formats.fmt(args.eps), str(rank),
                                    formats.fmt(mass), formats.fmt(fid)]))
     else:

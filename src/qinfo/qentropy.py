@@ -15,6 +15,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from . import _check
 from . import entropy as centropy
 from .states import (
     TOL_EIG,
@@ -233,6 +234,8 @@ def min_fidelity_estimate(op: QuantumChannel, trials: int = 256,
     nonincreasing in ``trials`` (exactly so with ``refine_steps=0``, up to
     refinement convergence jitter otherwise).
     """
+    _check.integer(trials, "trials", 0)
+    _check.integer(refine_steps, "refine_steps", 0)
     if rng is None:
         rng = np.random.default_rng(0)
     d = op.dim_in

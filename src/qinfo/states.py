@@ -103,7 +103,7 @@ class DensityMatrix:
             raise ValueError(f"density matrix trace is {float(tr)}, expected 1")
         w = np.linalg.eigvalsh(m)
         if dims is not None:
-            dims = tuple(int(d) for d in dims)
+            dims = tuple(int(_check.integer(d, "subsystem dim", 1)) for d in dims)
             if int(np.prod(dims)) != m.shape[0]:
                 raise ValueError(f"subsystem dims {dims} do not multiply to {m.shape[0]}")
         m.setflags(write=False)
@@ -123,7 +123,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int, dims: tuple[int, ...] | None = None) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim, dims)
+        return cls(np.eye(_check.integer(dim, "dim", 1), dtype=complex) / dim, dims)
 
     def with_dims(self, dims: tuple[int, ...]) -> "DensityMatrix":
         return DensityMatrix(self.mat, dims)

@@ -4,12 +4,14 @@ A source emits i.i.d. symbols from a finite alphabet; a block of n symbols is
 epsilon-typical when its per-symbol surprisal sits within epsilon of the source
 entropy.  Everything here is exact at desk scale: one lexicographic table of
 the typicality and probability of every length-n sequence backs every set,
-mass, scheme and projector, the quantum ones densely in the source eigenbasis
-(ambient dimension capped at 256).  A ``ShannonScheme`` reads the typical
-set's size and mass from its one table and lists sequences only when asked
-to compress or decompress; ``typical_set`` and ``typical_set_mass`` list and
-sum member by member, and serve as its reference.  Asymptotic statements are
-therefore checked as monotone trends over small n, never as limits.
+mass and scheme.  The quantum numbers come from the table of the source's
+eigenvalues; only ``typical_subspace_projector`` and ``schumacher_compress``
+build dense d^n x d^n matrices (d^n capped at 256).  A ``ShannonScheme``
+reads the typical set's size and mass from its one table and lists sequences
+only when asked to compress or decompress; ``typical_set`` and
+``typical_set_mass`` list and sum member by member, and serve as its
+reference.  Asymptotic statements are therefore checked as monotone trends
+over small n, never as limits.
 """
 
 from __future__ import annotations
@@ -69,6 +71,14 @@ def sequence_prob(seq, probs) -> float:
     return math.prod(map(list(probs).__getitem__, seq), start=1.0)
 
 
+def _symbol(s) -> int:
+    """s as an alphabet index, or -1: a bool or float is never a symbol, not even 1.0."""
+    try:
+        return -1 if isinstance(s, bool) else operator.index(s)
+    except TypeError:
+        return -1
+
+
 def is_typical(seq, model: SourceModel) -> bool:
     """|surprisal(seq)/n - H| <= epsilon.
 
@@ -81,10 +91,7 @@ def is_typical(seq, model: SourceModel) -> bool:
         raise ValueError(f"sequence length {len(seq)} != block length {n}")
     total = 0.0
     for s in seq:
-        try:
-            k = operator.index(s)
-        except TypeError:   # a float is never a symbol, not even 1.0
-            k = -1
+        k = _symbol(s)
         if not 0 <= k < p.size:
             raise ValueError(f"symbol {s} outside the alphabet")
         if p[k] == 0.0:
@@ -160,7 +167,7 @@ class ShannonScheme:
     Sequences in ``included`` (a subset of the typical set) map bijectively to
     indices 1..len(included), assigned in lexicographic order; index 0 is the
     reserved failure index that every other sequence, and every sequence with
-    a non-integer symbol, compresses to.  ``reliability`` is the exact
+    a non-integer or bool symbol, compresses to.  ``reliability`` is the exact
     probability that decompression inverts compression.  ``set_size`` and
     ``set_mass`` are the size and exact mass of the whole typical set, before
     an undersized rate trims it, so ``reliability == set_mass`` when nothing
@@ -204,11 +211,7 @@ class ShannonScheme:
         return {seq: i + 1 for i, seq in enumerate(self.included)}
 
     def compress(self, seq) -> int:
-        try:
-            key = tuple(map(operator.index, seq))
-        except TypeError:   # a sequence with a non-integer symbol is never included
-            return 0
-        return self._to_index.get(key, 0)
+        return self._to_index.get(tuple(map(_symbol, seq)), 0)
 
     def decompress(self, index: int) -> tuple[int, ...] | None:
         if 1 <= index <= len(self.included):
@@ -249,11 +252,6 @@ def _kron_power(m: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def block_state(q: QuantumSourceModel) -> np.ndarray:
-    """rho^(x n) as a dense matrix."""
-    return _kron_power(q.rho.mat, q.block_length)
-
-
 def schumacher_compress(q: QuantumSourceModel, sigma) -> DensityMatrix:
     """Compression map: project onto the typical subspace, dump the rest on |0>.
 
@@ -272,24 +270,25 @@ def schumacher_compress(q: QuantumSourceModel, sigma) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def schumacher_fidelity(q: QuantumSourceModel, max_rank: int | None = None) -> float:
-    """Entanglement fidelity of the compression scheme on rho^(x n).
+def schumacher_summary(q: QuantumSourceModel,
+                       max_rank: int | None = None) -> tuple[int, float, float]:
+    """Rank, mass tr(P rho^(x n)) and entanglement fidelity of the compression scheme.
 
-    F = |tr(rho_n P)|^2 + sum_i |<i| rho_n |0>|^2 over an orthonormal basis
-    of the orthocomplement.  ``max_rank`` optionally caps the kept subspace at
-    the most probable eigenvector blocks, for rate-limited experiments.
+    F = mass^2 + sum over dropped eigenvector blocks |v_i> of lam_i^2 |<0|v_i>|^2,
+    each overlap a product of single-copy ones.  ``max_rank`` optionally keeps
+    the most probable blocks instead, for rate-limited experiments.
     """
-    v, (typ, lam) = _eigen_table(q)
+    v, (kept, lam) = _eigen_table(q)
     if max_rank is not None:
-        order = np.argsort(-lam, kind="stable")
-        typ = np.zeros_like(typ)
-        typ[order[:max_rank]] = True
+        _check.integer(max_rank, "max_rank", 0)
+        kept = np.zeros_like(kept)
+        kept[np.argsort(-lam, kind="stable")[:max_rank]] = True
+    mass = float(sum(lam[kept].tolist()))
+    overlap = _kron_power(np.abs(v[:1]) ** 2, q.block_length)[0].real
+    fid = sum((lam[~kept] ** 2 * overlap[~kept]).tolist(), mass ** 2)
+    return int(kept.sum()), mass, fid
 
-    rho_n = block_state(q)
-    vn = _kron_power(v, q.block_length)
-    p = vn @ np.diag(typ.astype(complex)) @ dag(vn)
-    fid = abs(np.trace(rho_n @ p)) ** 2
-    rho_e0 = rho_n @ ket(0, typ.size)
-    for flat in np.nonzero(~typ)[0]:
-        fid += abs(np.vdot(vn[:, flat], rho_e0)) ** 2
-    return float(fid)
+
+def schumacher_fidelity(q: QuantumSourceModel, max_rank: int | None = None) -> float:
+    """Entanglement fidelity of the compression scheme; see ``schumacher_summary``."""
+    return schumacher_summary(q, max_rank)[2]

@@ -7,7 +7,10 @@ check enumerates every deterministic guessing map by brute force, and the
 nearest-codeword decoder scans every codeword instead of a syndrome table.  The
 per-member Holevo loop and the per-Kraus channel loop are the plain forms the
 stacked kernels must reproduce bit for bit, and the standard library's
-json.dumps is the reference for the transcript writer's bytes.
+json.dumps is the reference for the transcript writer's bytes.  The dense
+Schumacher fidelity builds rho^(x n) and the kept projector as full matrices
+and sums one inner product per dropped eigenvector block, the form the
+closed-form eigen-table fidelity replaced.
 """
 
 import itertools
@@ -130,3 +133,34 @@ def nearest_codeword(codewords: np.ndarray, y: np.ndarray, t: int):
 def json_text(obj) -> str:
     """The standard library's indented, key-sorted JSON text of obj."""
     return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _kron_power(m: np.ndarray, n: int) -> np.ndarray:
+    out = np.array([[1.0 + 0j]])
+    for _ in range(n):
+        out = np.kron(out, m)
+    return out
+
+
+def block_state(q) -> np.ndarray:
+    """rho^(x n) of a quantum source model as a dense matrix."""
+    return _kron_power(q.rho.mat, q.block_length)
+
+
+def dense_schumacher_fidelity(rho_mat: np.ndarray, v: np.ndarray, kept: np.ndarray) -> float:
+    """|tr(rho_n P)|^2 + sum_i |<i| rho_n |0>|^2 over the dropped eigenvector blocks.
+
+    ``v`` holds the single-copy eigenvectors as columns and ``kept`` flags the
+    eigenvector blocks of rho^(x n), in lexicographic order, that P spans.
+    """
+    n = 0
+    while v.shape[1] ** n < kept.size:
+        n += 1
+    rho_n = _kron_power(rho_mat, n)
+    vn = _kron_power(v, n)
+    p = vn @ np.diag(kept.astype(complex)) @ vn.conj().T
+    fid = abs(np.trace(rho_n @ p)) ** 2
+    rho_e0 = rho_n[:, 0]
+    for flat in np.nonzero(~kept)[0]:
+        fid += abs(np.vdot(vn[:, flat], rho_e0)) ** 2
+    return float(fid)

@@ -8,7 +8,7 @@ import pytest
 
 from qinfo import _check
 from qinfo.bb84 import ChannelModel, ProtocolConfig, run_batch
-from qinfo.capacity import bec, bsc, channel_capacity, hsw_capacity_estimate
+from qinfo.capacity import bec, bsc, channel_capacity, hsw_capacity_estimate, noiseless
 from qinfo.cli import main
 from qinfo.codes import (
     CssCode,
@@ -22,7 +22,8 @@ from qinfo.codes import (
     syndrome_table,
 )
 from qinfo.entropy import binary_entropy, fano_bound
-from qinfo.states import depolarizing_channel, identity_channel, thermal_state
+from qinfo.qentropy import min_fidelity_estimate
+from qinfo.states import DensityMatrix, depolarizing_channel, identity_channel, thermal_state
 from qinfo.typical import SourceModel, shannon_scheme
 
 STEANE = steane_css()
@@ -55,6 +56,13 @@ INTEGER_PARAMETERS = [
     ("hsw_capacity_estimate.seed",
      lambda v: hsw_capacity_estimate(identity_channel(2), restarts=0, tol=1e-3, seed=v),
      None, -5),
+    ("DensityMatrix.dims", lambda v: DensityMatrix(np.eye(4) / 4, (v, 2)), 1, 2),
+    ("DensityMatrix.maximally_mixed.dim", DensityMatrix.maximally_mixed, 1, 2),
+    ("noiseless.k", noiseless, 1, 2),
+    ("min_fidelity_estimate.trials",
+     lambda v: min_fidelity_estimate(identity_channel(2), trials=v, refine_steps=0), 0, 2),
+    ("min_fidelity_estimate.refine_steps",
+     lambda v: min_fidelity_estimate(identity_channel(2), trials=1, refine_steps=v), 0, 1),
 ]
 
 

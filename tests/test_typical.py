@@ -4,17 +4,19 @@ from itertools import product
 import numpy as np
 import pytest
 
+from oracles import block_state, dense_schumacher_fidelity
 from qinfo.qentropy import von_neumann_entropy
 from qinfo.states import DensityMatrix, dag, random_unitary
 from qinfo.typical import (
     CapacityError,
     QuantumSourceModel,
     SourceModel,
-    block_state,
+    _eigen_table,
     is_typical,
     multinomial_count,
     schumacher_compress,
     schumacher_fidelity,
+    schumacher_summary,
     sequence_prob,
     shannon_scheme,
     typical_set,
@@ -58,6 +60,15 @@ class TestTypicality:
     def test_non_integer_symbol_rejected(self, seq):
         with pytest.raises(ValueError, match="outside the alphabet"):
             is_typical(seq, SourceModel(SKEWED, 4, 0.3))
+
+    def test_bool_is_never_a_symbol(self):
+        m = SourceModel((0.5, 0.5), 2, 0.1)
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            is_typical((True, False), m)
+        s = shannon_scheme(m, 1.0)
+        assert s.compress((1, 0)) > 0
+        assert s.compress((True, False)) == 0
+        assert s.compress(np.array([True, False])) == 0
 
     def test_numpy_integer_symbols(self):
         m = SourceModel(SKEWED, 4, 1e-12)
@@ -296,6 +307,45 @@ class TestSchumacher:
         kept = rank / 2 ** 6
         assert fid < kept + 0.05
         assert fid < 0.25
+
+    @pytest.mark.parametrize("d,n_max", [(2, 8), (3, 5), (4, 4)])
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_summary_matches_dense_projector_and_oracle(self, d, n_max, capped, rng):
+        # the eigen-table closed form against rho^(x n), P and the per-block loop
+        for n in range(1, n_max + 1):
+            u = random_unitary(d, rng)
+            w = rng.dirichlet(np.ones(d))
+            rho = DensityMatrix(u @ np.diag(w).astype(complex) @ dag(u))
+            q = QuantumSourceModel(rho, n, float(rng.uniform(0.05, 0.6)))
+            rho_n = block_state(q)
+            v, (kept, lam) = _eigen_table(q)
+            if capped:
+                max_rank = int(rng.integers(0, d ** n + 2))
+                kept = np.zeros_like(kept)
+                kept[np.argsort(-lam, kind="stable")[:max_rank]] = True
+                rank, mass, fid = schumacher_summary(q, max_rank)
+                assert rank == min(max_rank, d ** n)
+                top = np.sort(np.linalg.eigvalsh(rho_n))[::-1][:max_rank]
+                assert abs(mass - top.sum()) < 1e-13
+            else:
+                rank, mass, fid = schumacher_summary(q)
+                p = typical_subspace_projector(q)
+                assert rank == round(np.trace(p).real)
+                assert abs(mass - np.trace(p @ rho_n).real) < 1e-13
+            assert abs(fid - dense_schumacher_fidelity(rho.mat, v, kept)) < 1e-13
+            assert fid == schumacher_fidelity(q, max_rank if capped else None)
+
+    @pytest.mark.parametrize("max_rank,kept", [
+        (-1, None), (True, None), (1.5, None), (np.float64(2.0), None), (0, (0, 0.0)),
+        (9, (8, pytest.approx(1.0))),   # above d^n = 8 keeps every block
+    ])
+    def test_max_rank_is_a_non_negative_integer(self, max_rank, kept):
+        q = diag_source(3, 0.2)
+        if kept is None:
+            with pytest.raises(ValueError, match="max_rank"):
+                schumacher_fidelity(q, max_rank=max_rank)
+        else:
+            assert schumacher_summary(q, max_rank)[:2] == kept
 
     def test_fidelity_against_von_neumann_rate(self):
         # S(rho) ~ 0.811 < 1, so typical compression keeps climbing with n
