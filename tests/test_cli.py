@@ -8,7 +8,7 @@ from oracles import json_text
 from qinfo import formats
 from qinfo.bb84 import ChannelModel, ProtocolConfig, run_batch, run_bb84
 from qinfo.cli import main
-from qinfo.codes import hamming_7_4, steane_css
+from qinfo.codes import hamming_7_4, repetition_code, steane_css
 
 
 @pytest.fixture
@@ -19,7 +19,15 @@ def workdir(tmp_path):
     (tmp_path / "identity2.json").write_text(json.dumps(formats.matrix_to_json(np.eye(2) / 2)))
     (tmp_path / "bsc.json").write_text(json.dumps({"rows": [[0.89, 0.11], [0.11, 0.89]]}))
     (tmp_path / "bec.json").write_text(json.dumps({"rows": [[0.7, 0.3, 0.0], [0.0, 0.3, 0.7]]}))
+    (tmp_path / "ch23.json").write_text(json.dumps({"rows": [[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]]}))
+    (tmp_path / "p.json").write_text("[0.7, 0.2, 0.1]")
+    (tmp_path / "q.json").write_text("[0.4, 0.4, 0.2]")
+    (tmp_path / "rho.json").write_text(json.dumps(formats.matrix_to_json(
+        np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]))))
+    (tmp_path / "sigma.json").write_text(json.dumps(formats.matrix_to_json(
+        np.array([[0.5, 0.1j], [-0.1j, 0.5]]))))
     (tmp_path / "hamming.txt").write_text(formats.code_to_text(hamming_7_4()))
+    (tmp_path / "rep3.txt").write_text(formats.code_to_text(repetition_code(3)))
     (tmp_path / "qkd.json").write_text(json.dumps({
         "n": 64, "delta": 1.0, "threshold": 7, "code": "steane",
         "channel": {"kind": "ideal"}}))
@@ -139,6 +147,55 @@ class TestJsonWriter:
         text = formats.dump_json(obj, tmp_path / "out.json")
         assert text == json_text(obj)
         assert (tmp_path / "out.json").read_text() == text + "\n"
+
+
+# stdout of the table commands in both formats, captured before their csv and
+# json branches were merged into one; {dir} is the workdir fixture
+GOLDEN_TABLES = [
+    (["entropy", "--dist", "{dir}/p.json"],
+     "shannon_entropy\n1.15677964945\n",
+     '{\n  "shannon_entropy": 1.1567796494470395\n}\n'),
+    (["entropy", "--dist", "{dir}/p.json", "--relative", "{dir}/q.json"],
+     "shannon_entropy,relative_entropy\n1.15677964945,0.26514844544\n",
+     '{\n  "relative_entropy": 0.2651484454403227,\n'
+     '  "shannon_entropy": 1.1567796494470395\n}\n'),
+    (["qinfo", "--density", "{dir}/rho.json"],
+     "von_neumann_entropy\n0.819186093629\n",
+     '{\n  "von_neumann_entropy": 0.8191860936289241\n}\n'),
+    (["qinfo", "--density", "{dir}/rho.json", "--fidelity-with", "{dir}/sigma.json"],
+     "von_neumann_entropy,fidelity\n0.819186093629,0.952409119067\n",
+     '{\n  "fidelity": 0.9524091190666188,\n  "von_neumann_entropy": 0.8191860936289241\n}\n'),
+    (["codes", "--code", "{dir}/hamming.txt"],
+     "n,k,d,t,singleton_ok,gv_rate,meets_gv_rate,weakly_self_dual\n"
+     "7,4,3,1,1,0.408327221418,1,0\n",
+     '{\n  "d": 3,\n  "gv_rate": 0.40832722141767275,\n  "k": 4,\n  "meets_gv_rate": true,\n'
+     '  "n": 7,\n  "singleton_ok": true,\n  "t": 1,\n  "weakly_self_dual": false\n}\n'),
+    (["codes", "--code", "{dir}/rep3.txt"],
+     "n,k,d,t,singleton_ok,gv_rate,meets_gv_rate,weakly_self_dual\n"
+     "3,1,3,1,1,0.0817041659455,1,0\n",
+     '{\n  "d": 3,\n  "gv_rate": 0.08170416594551044,\n  "k": 1,\n  "meets_gv_rate": true,\n'
+     '  "n": 3,\n  "singleton_ok": true,\n  "t": 1,\n  "weakly_self_dual": false\n}\n'),
+    (["capacity", "--channel", "{dir}/bsc.json"],
+     "capacity,p0,p1\n0.500084041835,0.5,0.5\n",
+     '{\n  "capacity": 0.5000840418354721,\n  "input": [\n    0.5,\n    0.5\n  ]\n}\n'),
+    (["capacity", "--channel", "{dir}/ch23.json"],
+     "capacity,p0,p1\n0.332886672239,0.489366435061,0.510633564939\n",
+     '{\n  "capacity": 0.33288667223896407,\n'
+     '  "input": [\n    0.489366435060631,\n    0.5106335649393691\n  ]\n}\n'),
+]
+
+
+GOLDEN_TABLE_RUNS = [(argv, fmt, expected) for argv, csv, js in GOLDEN_TABLES
+                     for fmt, expected in (("csv", csv), ("json", js))]
+
+
+class TestGoldenTables:
+    @pytest.mark.parametrize("argv,fmt,expected", GOLDEN_TABLE_RUNS,
+                             ids=[f"{argv[0]}-{i // 2}-{fmt}"
+                                  for i, (argv, fmt, _) in enumerate(GOLDEN_TABLE_RUNS)])
+    def test_stdout_bytes(self, workdir, capsys, argv, fmt, expected):
+        argv = [a.replace("{dir}", str(workdir)) for a in argv]
+        assert run_cli([*argv, "--format", fmt], capsys) == (0, expected)
 
 
 class TestEntropyCommand:
