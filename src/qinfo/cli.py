@@ -24,6 +24,11 @@ def _read_json(path: str):
         return json.load(fh)
 
 
+def _read_code(path: str) -> codes.LinearCode:
+    with open(path) as fh:
+        return formats.code_from_text(fh.read())
+
+
 def _emit(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out:
@@ -33,18 +38,24 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_result(args, result: dict, row: dict | None = None) -> int:
+    """Write result as JSON, or row (default: result) as a CSV header and one line."""
+    if args.format == "json":
+        _emit([formats.dump_json(result)], args.out)
+    else:
+        row = result if row is None else row
+        _emit([",".join(row), formats.csv_row(row.values())], args.out)
+    return 0
+
+
 def cmd_entropy(args) -> int:
-    p = formats.dist_from_json(json.loads(args.inline) if args.inline else _read_json(args.dist))
+    raw = json.loads(args.inline) if args.dist is None else _read_json(args.dist)
+    p = formats.dist_from_json(raw)
     result = {"shannon_entropy": entropy.shannon_entropy(p)}
     if args.relative:
         q = formats.dist_from_json(_read_json(args.relative))
         result["relative_entropy"] = entropy.relative_entropy(p, q)
-    if args.format == "json":
-        _emit([formats.dump_json(result)], args.out)
-    else:
-        _emit([",".join(k for k in result), ",".join(formats.fmt(v) for v in result.values())],
-              args.out)
-    return 0
+    return _emit_result(args, result)
 
 
 def cmd_qinfo(args) -> int:
@@ -53,76 +64,50 @@ def cmd_qinfo(args) -> int:
     if args.fidelity_with:
         sigma = DensityMatrix(formats.matrix_from_json(_read_json(args.fidelity_with)))
         result["fidelity"] = qentropy.fidelity(rho, sigma)
-    if args.format == "json":
-        _emit([formats.dump_json(result)], args.out)
-    else:
-        _emit([",".join(result), ",".join(formats.fmt(v) for v in result.values())], args.out)
-    return 0
+    return _emit_result(args, result)
 
 
 def cmd_codes(args) -> int:
-    with open(args.code) as fh:
-        code = formats.code_from_text(fh.read())
+    code = _read_code(args.code)
     report = codes.code_bounds(code)
-    if args.format == "json":
-        _emit([formats.dump_json({
-            "n": report.n, "k": report.k, "d": report.distance, "t": report.t,
-            "singleton_ok": report.singleton_ok, "gv_rate": report.gv_rate,
-            "meets_gv_rate": report.meets_gv_rate,
-            "weakly_self_dual": codes.is_weakly_self_dual(code),
-        })], args.out)
-    else:
-        _emit([
-            "n,k,d,t,singleton_ok,gv_rate,meets_gv_rate,weakly_self_dual",
-            ",".join([str(report.n), str(report.k), str(report.distance), str(report.t),
-                      str(int(report.singleton_ok)), formats.fmt(report.gv_rate),
-                      str(int(report.meets_gv_rate)), str(int(codes.is_weakly_self_dual(code)))]),
-        ], args.out)
-    return 0
+    return _emit_result(args, {
+        "n": report.n, "k": report.k, "d": report.distance, "t": report.t,
+        "singleton_ok": report.singleton_ok, "gv_rate": report.gv_rate,
+        "meets_gv_rate": report.meets_gv_rate,
+        "weakly_self_dual": codes.is_weakly_self_dual(code),
+    })
 
 
 def cmd_compress(args) -> int:
     probs = tuple(formats.dist_from_json(json.loads(args.probs)).tolist())
     blocks = [int(x) for x in args.blocks.split(",")]
-    lines = []
     if args.quantum:
-        lines.append("n,epsilon,rank,typical_mass,fidelity")
-        for n in blocks:
-            q = typical.QuantumSourceModel(
-                DensityMatrix(np.diag(np.asarray(probs, dtype=complex))), n, args.eps)
-            rank, mass, fid = typical.schumacher_summary(q)
-            lines.append(",".join([str(n), formats.fmt(args.eps), str(rank),
-                                   formats.fmt(mass), formats.fmt(fid)]))
+        header = "n,epsilon,rank,typical_mass,fidelity"
+        source = DensityMatrix(np.diag(np.asarray(probs, dtype=complex)))
+        rows = (typical.schumacher_summary(typical.QuantumSourceModel(source, n, args.eps))
+                for n in blocks)
     else:
-        lines.append("n,epsilon,set_size,typical_mass,reliability")
-        for n in blocks:
-            s = typical.shannon_scheme(typical.SourceModel(probs, n, args.eps), args.rate)
-            lines.append(",".join([str(n), formats.fmt(args.eps), str(s.set_size),
-                                   formats.fmt(s.set_mass), formats.fmt(s.reliability)]))
-    _emit(lines, args.out)
+        header = "n,epsilon,set_size,typical_mass,reliability"
+        schemes = (typical.shannon_scheme(typical.SourceModel(probs, n, args.eps), args.rate)
+                   for n in blocks)
+        rows = ((s.set_size, s.set_mass, s.reliability) for s in schemes)
+    _emit([header] + [formats.csv_row([n, args.eps, *row]) for n, row in zip(blocks, rows)],
+          args.out)
     return 0
 
 
 def cmd_capacity(args) -> int:
     t = formats.channel_from_json(_read_json(args.channel))
     cap, px = capacity.channel_capacity(t, tol=args.tol)
-    if args.format == "json":
-        _emit([formats.dump_json({"capacity": cap, "input": [float(x) for x in px]})], args.out)
-    else:
-        _emit(["capacity," + ",".join(f"p{i}" for i in range(px.size)),
-               ",".join([formats.fmt(cap)] + [formats.fmt(x) for x in px])], args.out)
-    return 0
+    return _emit_result(args, {"capacity": cap, "input": [float(x) for x in px]},
+                        {"capacity": cap, **{f"p{i}": x for i, x in enumerate(px)}})
 
 
 def _css_from_config(obj) -> codes.CssCode:
     if obj == "steane":
         return codes.steane_css()
     if isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in ("c1", "c2")):
-        with open(obj["c1"]) as fh:
-            c1 = formats.code_from_text(fh.read())
-        with open(obj["c2"]) as fh:
-            c2 = formats.code_from_text(fh.read())
-        return codes.css_construct(c1, c2)
+        return codes.css_construct(_read_code(obj["c1"]), _read_code(obj["c2"]))
     raise ValueError("code must be 'steane' or {'c1': path, 'c2': path}")
 
 
@@ -149,12 +134,9 @@ def cmd_qkd(args) -> int:
     aborts = sum(t.aborted for t in transcripts)
     matches = sum(t.keys_match for t in transcripts)
     survivors = len(transcripts) - aborts
-    lines.append(",".join([
-        "aggregate",
-        formats.fmt(aborts / len(transcripts)),
-        formats.fmt(float(np.mean(qbers)) if qbers else float("nan")),
-        formats.fmt(matches / survivors if survivors else 0.0),
-    ]))
+    lines.append(formats.csv_row(["aggregate", aborts / len(transcripts),
+                                  float(np.mean(qbers)) if qbers else float("nan"),
+                                  matches / survivors if survivors else 0.0]))
     _emit(lines, args.out)
     if args.transcripts:
         payload = [formats.transcript_to_json(t) for t in transcripts]
@@ -166,51 +148,48 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qinfo",
                                  description="information measures, coding and BB84 simulation")
     sub = ap.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    table = argparse.ArgumentParser(add_help=False, parents=[out])
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("entropy", help="Shannon entropy of a distribution")
-    p.add_argument("--dist", help="JSON file holding a probability vector")
-    p.add_argument("--inline", help="inline JSON probability vector")
+    p = sub.add_parser("entropy", parents=[table], help="Shannon entropy of a distribution")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--dist", help="JSON file holding a probability vector")
+    source.add_argument("--inline", help="inline JSON probability vector")
     p.add_argument("--relative", help="JSON file with a second distribution for H(p||q)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("qinfo", help="von Neumann entropy of a density matrix")
+    p = sub.add_parser("qinfo", parents=[table], help="von Neumann entropy of a density matrix")
     p.add_argument("--density", required=True, help="JSON matrix {dim, re, im}")
     p.add_argument("--fidelity-with", dest="fidelity_with")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_qinfo)
 
-    p = sub.add_parser("codes", help="validate a linear code file and report bounds")
+    p = sub.add_parser("codes", parents=[table],
+                       help="validate a linear code file and report bounds")
     p.add_argument("--code", required=True, help="text code file")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_codes)
 
-    p = sub.add_parser("compress", help="typical-set compression sweep")
+    p = sub.add_parser("compress", parents=[out], help="typical-set compression sweep")
     p.add_argument("--probs", required=True, help="inline JSON symbol distribution")
     p.add_argument("--blocks", required=True, help="comma-separated block lengths")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--rate", type=float, default=1.0)
-    p.add_argument("--quantum", action="store_true",
-                   help="sweep the quantum scheme of the diagonal source instead")
-    p.add_argument("--out")
+    scheme = p.add_mutually_exclusive_group()
+    scheme.add_argument("--rate", type=float, default=1.0)
+    scheme.add_argument("--quantum", action="store_true",
+                        help="sweep the quantum scheme of the diagonal source instead")
     p.set_defaults(func=cmd_compress)
 
-    p = sub.add_parser("capacity", help="capacity of a discrete channel")
+    p = sub.add_parser("capacity", parents=[table], help="capacity of a discrete channel")
     p.add_argument("--channel", required=True, help="JSON file {rows: [[...]]}")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("qkd", help="batch BB84 simulation")
+    p = sub.add_parser("qkd", parents=[out], help="batch BB84 simulation")
     p.add_argument("--config", required=True, help="JSON protocol configuration")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--transcripts", help="optional path for full JSON transcripts")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_qkd)
 
     return ap

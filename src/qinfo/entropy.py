@@ -45,7 +45,7 @@ def validate_joint(table) -> np.ndarray:
 
 def _neg_sum_plogp(p: np.ndarray) -> float:
     mask = p > 0.0
-    return float(-np.sum(p[mask] * np.log2(p[mask])))
+    return float(0.0 - np.sum(p[mask] * np.log2(p[mask])))   # 0.0 - 0.0 is +0, not -0
 
 
 def shannon_entropy(p) -> float:

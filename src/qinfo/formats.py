@@ -5,9 +5,11 @@ row major; distributions as plain JSON arrays; channels as
 ``{"rows": [[...]]}``; their readers raise ValueError on any other shape.
 Linear codes use a small text format: first line "n k", then k generator
 columns as n-character 0/1 strings, optionally followed by a line "H" and n-k
-parity rows.  CSV output is locale free with 12 significant digits.  JSON
-output (dump_json) is byte-identical to json.dumps(obj, indent=2,
-sort_keys=True); strings go through json's own C escaper.
+parity rows.  CSV output is locale free: csv_row writes str cells as given,
+bools as 0/1, Python and NumPy integers as digits and every other value
+through fmt, with 12 significant digits.  JSON output (dump_json) is
+byte-identical to json.dumps(obj, indent=2, sort_keys=True); strings go
+through json's own C escaper.
 """
 
 from __future__ import annotations
@@ -27,6 +29,13 @@ def fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def csv_row(values) -> str:
+    """One CSV data line; the cell rule is in the module docstring."""
+    return ",".join(v if isinstance(v, str)
+                    else str(int(v)) if isinstance(v, (int, np.integer, np.bool_))
+                    else fmt(v) for v in values)
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     return {
@@ -36,14 +45,23 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _holds_bool(obj) -> bool:
+    return isinstance(obj, bool) or isinstance(obj, list) and any(map(_holds_bool, obj))
+
+
 def _floats(obj, what: str) -> np.ndarray:
-    """Float array from a JSON array (possibly nested) of numbers."""
+    """Float array from a JSON array (possibly nested) of numbers; true and
+    false are not numbers, although numpy reads them as 1 and 0."""
     if not isinstance(obj, list):
         raise ValueError(f"{what} must be a JSON array of numbers")
     try:
-        return np.asarray(obj, dtype=float)
+        out = np.asarray(obj, dtype=float)
     except TypeError:
-        raise ValueError(f"{what} must hold only numbers") from None
+        out = None
+    # only an array that converted is walked for bools, so the walk is at most 32 deep
+    if out is None or _holds_bool(obj):
+        raise ValueError(f"{what} must hold only numbers")
+    return out
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
@@ -134,14 +152,10 @@ def transcript_to_json(t: ProtocolTranscript) -> dict:
 
 def batch_summary_rows(transcripts: list[ProtocolTranscript]) -> list[str]:
     """Per-trial CSV lines: trial, aborted, sifted_count, qber, key_len, keys_match."""
-    rows = []
-    for i, t in enumerate(transcripts):
-        qber = "" if np.isnan(t.qber_estimate) else fmt(t.qber_estimate)
-        rows.append(",".join([
-            str(i), str(int(t.aborted)), str(int(t.sift_mask.sum())),
-            qber, str(t.alice_key.size), str(int(t.keys_match)),
-        ]))
-    return rows
+    return [csv_row([i, t.aborted, t.sift_mask.sum(),
+                     "" if np.isnan(t.qber_estimate) else t.qber_estimate,
+                     t.alice_key.size, t.keys_match])
+            for i, t in enumerate(transcripts)]
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -146,7 +146,7 @@ def _holevo(probs: np.ndarray, mats: np.ndarray) -> float:
         np.linalg.eigvalsh(np.concatenate((_mix(probs, mats)[None], mats)))[:, ::-1])
     if spectra.shape[1] < 8:
         terms = spectra * np.log2(np.where(spectra > 0.0, spectra, 1.0))
-        entropies = (-np.sum(terms, axis=1)).tolist()
+        entropies = (0.0 - np.sum(terms, axis=1)).tolist()
     else:
         entropies = [centropy._neg_sum_plogp(w) for w in spectra]
     chi = entropies[0]
@@ -234,7 +234,7 @@ def min_fidelity_estimate(op: QuantumChannel, trials: int = 256,
     nonincreasing in ``trials`` (exactly so with ``refine_steps=0``, up to
     refinement convergence jitter otherwise).
     """
-    _check.integer(trials, "trials", 0)
+    _check.integer(trials, "trials", 1)
     _check.integer(refine_steps, "refine_steps", 0)
     if rng is None:
         rng = np.random.default_rng(0)
@@ -245,9 +245,8 @@ def min_fidelity_estimate(op: QuantumChannel, trials: int = 256,
         val = np.real(np.conj(psi) @ out @ psi)
         return float(np.sqrt(max(val, 0.0)))
 
-    best_psi = random_pure_state(d, rng)
-    best = pure_fidelity(best_psi)
-    for _ in range(max(trials - 1, 0)):
+    best, best_psi = math.inf, None
+    for _ in range(trials):
         psi = random_pure_state(d, rng)
         f = pure_fidelity(psi)
         if f < best:

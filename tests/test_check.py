@@ -60,7 +60,7 @@ INTEGER_PARAMETERS = [
     ("DensityMatrix.maximally_mixed.dim", DensityMatrix.maximally_mixed, 1, 2),
     ("noiseless.k", noiseless, 1, 2),
     ("min_fidelity_estimate.trials",
-     lambda v: min_fidelity_estimate(identity_channel(2), trials=v, refine_steps=0), 0, 2),
+     lambda v: min_fidelity_estimate(identity_channel(2), trials=v, refine_steps=0), 1, 2),
     ("min_fidelity_estimate.refine_steps",
      lambda v: min_fidelity_estimate(identity_channel(2), trials=1, refine_steps=v), 0, 1),
 ]

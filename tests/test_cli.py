@@ -214,6 +214,12 @@ class TestEntropyCommand:
         code = main(["entropy", "--dist", "/does/not/exist.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("fmt,expected", [("csv", "shannon_entropy\n0\n"),
+                                              ("json", '{\n  "shannon_entropy": 0.0\n}\n')],
+                             ids=["csv", "json"])
+    def test_zero_entropy_has_no_sign(self, capsys, fmt, expected):
+        assert run_cli(["entropy", "--inline", "[1,0]", "--format", fmt], capsys) == (0, expected)
+
 
 class TestQinfoCommand:
     def test_maximally_mixed(self, workdir, capsys):
@@ -421,6 +427,12 @@ class TestBadInput:
         pytest.param(["capacity", "--channel", "{bad}", "--tol", "inf"],
                      {"rows": [[0.9, 0.1], [0.2, 0.8]]}, "tol must be a finite number",
                      id="capacity-tol-inf"),
+        pytest.param(["entropy", "--inline", "[true, false]"], None, "must hold only numbers",
+                     id="entropy-bool"),
+        pytest.param(["capacity", "--channel", "{bad}"], {"rows": [[True, False], [False, True]]},
+                     "must hold only numbers", id="channel-bool"),
+        pytest.param(["qinfo", "--density", "{bad}"], {"dim": 1, "re": [True]},
+                     "must hold only numbers", id="density-re-bool"),
         pytest.param(["capacity", "--channel", "{bad}", "--tol", "0"],
                      {"rows": [[0.89, 0.11], [0.11, 0.89]]}, "best 0.5000840",
                      id="capacity-no-convergence"),
@@ -434,3 +446,21 @@ class TestBadInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
         assert "np." not in lines[0]
+
+    @pytest.mark.parametrize("argv,fragment", [
+        (["entropy"], "one of the arguments --dist --inline is required"),
+        (["entropy", "--dist", "{bad}", "--inline", "[0.5, 0.5]"],
+         "argument --inline: not allowed with argument --dist"),
+        (["compress", "--probs", "[0.5,0.5]", "--blocks", "4", "--eps", "0.3", "--quantum",
+          "--rate", "nan"], "argument --rate: not allowed with argument --quantum"),
+    ], ids=["entropy-no-source", "entropy-two-sources", "compress-quantum-rate"])
+    def test_flag_conflicts_exit_2_with_usage(self, tmp_path, capsys, argv, fragment):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[0.5, 0.5]")
+        with pytest.raises(SystemExit) as err:
+            main([a.replace("{bad}", str(bad)) for a in argv])
+        captured = capsys.readouterr()
+        assert err.value.code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: ") and "Traceback" not in captured.err
+        assert [ln for ln in lines if "error: " in ln] == [lines[-1]] and fragment in lines[-1]

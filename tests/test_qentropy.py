@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qinfo.entropy import binary_entropy, shannon_entropy, random_dist, validate_dist
+from qinfo.entropy import (
+    binary_entropy, joint_entropy, random_dist, shannon_entropy, validate_dist,
+)
 from qinfo.qentropy import (
     _holevo,
     classical_quantum_state,
@@ -70,6 +72,12 @@ def mixed_fixture_entropy() -> float:
 class TestVonNeumannEntropy:
     def test_pure_state(self):
         assert von_neumann_entropy(DensityMatrix.pure(KET_0)) == 0.0
+
+    def test_zero_entropies_are_positive_zero(self):
+        # -sum(p log p) over the single term 1 * log2(1) would give -0.0, which prints as -0
+        for h in (shannon_entropy([1, 0]), von_neumann_entropy(DensityMatrix.pure(KET_0)),
+                  joint_entropy([[1, 0], [0, 0]])):
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_maximally_mixed(self):
         assert von_neumann_entropy(DensityMatrix.maximally_mixed(2)) == pytest.approx(1.0, abs=ATOL)
@@ -380,6 +388,12 @@ class TestMinFidelity:
             est = min_fidelity_estimate(ch, trials=128, rng=stream(3, "mf"))
             grid = bloch_grid_min_fidelity(ch.kraus, steps=60)
             assert abs(est - grid) < 0.02
+
+    def test_sampling_bits_pinned(self):
+        # captured when the first sample was still drawn outside the sampling loop
+        ch = random_channel(2, 3, stream(4, "mf-ch"))
+        assert [min_fidelity_estimate(ch, trials=t, rng=stream(5, "mf")).hex()
+                for t in (1, 8)] == ["0x1.f930122801e8fp-4", "0x1.f930122780a8cp-4"]
 
     def test_monotone_in_trials(self):
         ch = random_channel(2, 3, stream(4, "mf-ch"))
