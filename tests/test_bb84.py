@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -448,3 +449,44 @@ class TestGoldenTranscripts:
                 failed_blocks += int(np.sum(~t.block_success))
         assert reasons == {None, "sifting", "check-bit"}
         assert failed_blocks > 0
+
+
+# dtype and shape of every array field, captured before the transcript fields
+# gained defaults; the golden digests print an empty array of any dtype as []
+IDX = np.dtype(np.intp)
+U8, B = np.dtype(np.uint8), np.dtype(bool)
+SENT = {32: 128, 64: 320}
+DTYPE_CASES = {
+    "sifting-abort": (32, 0.0, 3, 0, "ideal", 0.0, dict(
+        check_indices=(U8, 0), keep_indices=(U8, 0), announced_offset=(U8, 0),
+        alice_key=(U8, 0), bob_key=(U8, 0), block_success=(B, 0))),
+    "check-abort": (64, 1.0, 0, 11, "intercept_resend", 1.0, dict(
+        check_indices=(IDX, 64), keep_indices=(IDX, 64), announced_offset=(U8, 0),
+        alice_key=(U8, 0), bob_key=(U8, 0), block_success=(B, 0))),
+    "completed": (64, 1.0, 7, 11, "depolarizing", 0.1, dict(
+        check_indices=(IDX, 64), keep_indices=(IDX, 64), announced_offset=(U8, 63),
+        alice_key=(U8, 9), bob_key=(U8, 9), block_success=(B, 9))),
+    "eve": (64, 1.0, 20, 11, "intercept_resend", 0.3, dict(
+        check_indices=(IDX, 64), keep_indices=(IDX, 64), announced_offset=(U8, 63),
+        alice_key=(U8, 9), bob_key=(U8, 9), block_success=(B, 9))),
+}
+
+
+class TestTranscriptFieldTypes:
+    @pytest.mark.parametrize("case", list(DTYPE_CASES))
+    def test_every_array_field_keeps_its_dtype_and_shape(self, case):
+        n, delta, threshold, seed, kind, param, tail = DTYPE_CASES[case]
+        t = run_bb84(ProtocolConfig(n=n, delta=delta, threshold=threshold, code=STEANE,
+                                    master_seed=seed), ChannelModel(kind, param))
+        assert t.aborted == case.endswith("abort")
+        sent = SENT[n]
+        want = dict(alice_bits=(U8, sent), alice_bases=(U8, sent), bob_bases=(U8, sent),
+                    bob_bits=(U8, sent), sift_mask=(B, sent), **tail)
+        if kind == "intercept_resend":
+            want.update(eve_mask=(B, sent), eve_bases=(U8, sent), eve_bits=(U8, sent))
+        got = {f.name: (getattr(t, f.name).dtype, getattr(t, f.name).shape[0])
+               for f in dataclasses.fields(t) if isinstance(getattr(t, f.name), np.ndarray)}
+        assert got == want
+        assert all(getattr(t, f.name).ndim == 1 for f in dataclasses.fields(t) if f.name in got)
+        assert (t.eve_mask is None) == (kind != "intercept_resend")
+        assert type(t.disagreements) is int and type(t.qber_estimate) is float

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -42,6 +43,7 @@ from qinfo.codes import (
     syndrome_table,
 )
 from qinfo.entropy import binary_entropy
+from qinfo.rng import stream
 
 from oracles import nearest_codeword
 
@@ -606,3 +608,51 @@ class TestStatevectorHelpers:
         vec = rng.normal(size=16) + 1j * rng.normal(size=16)
         vec /= np.linalg.norm(vec)
         assert np.allclose(hadamard_all(hadamard_all(vec)), vec)
+
+
+def code_family():
+    """Four fixtures and 40 seeded random codes with n = 4 ... 12 and k = 0 ... n."""
+    r = stream(14, "code-family")
+    family = [hamming_7_4(), simplex_7_3(), repetition_code(5), parity_code(6)]
+    while len(family) < 44:
+        n = int(r.integers(4, 13))
+        g = r.integers(0, 2, (n, int(r.integers(0, n + 1)))).astype(np.uint8)
+        if gf2_rank(g) == g.shape[1]:
+            family.append(LinearCode(g))
+    return family
+
+
+def subcodes(c1, r):
+    """C2 within C1 of every dimension 0 ... k1, each from a random full-rank message map."""
+    out = []
+    for k2 in range(c1.k + 1):
+        while True:
+            m = r.integers(0, 2, (c1.k, k2)).astype(np.uint8)
+            if gf2_rank(m) == k2:
+                break
+        out.append(LinearCode(gf2_mul(c1.generator, m)))
+    return out
+
+
+class TestPinnedCodeFamily:
+    # sha256 captured before the echelon form and the key machinery were
+    # shared; parity checks, distances, coset reps and keys must not move
+    DIGEST = "893ebb46d3f0fa69044f43de4198dd5915c18dc8f1bd1fd830f9a7b8866a41bf"
+
+    def test_parity_checks_reps_and_keys_are_byte_identical(self):
+        r = stream(14, "code-family-words")
+        h = hashlib.sha256()
+        pairs = 0
+        for c1 in code_family():
+            h.update(c1.parity_check.tobytes() + bytes([c1.distance or 0]))
+            words = (np.array(list(itertools.product((0, 1), repeat=c1.n)), dtype=np.uint8)
+                     if c1.n <= 9 else r.integers(0, 2, (512, c1.n)).astype(np.uint8))
+            for w in words:
+                h.update(canonical_coset_rep(c1, w).tobytes())
+            for c2 in subcodes(c1, r):
+                h.update(c2.parity_check.tobytes())
+                if c1.k:   # k1 = 0 has only the empty key (TestCosetKey)
+                    h.update(_coset_keys(CssCode(c1, c2), c1.codewords()).tobytes())
+                pairs += 1
+        assert pairs == 220
+        assert h.hexdigest() == self.DIGEST
