@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,25 +113,34 @@ class ProtocolConfig:
         return math.ceil((4 + self.delta) * self.n)
 
 
+def _empty(dtype=np.uint8):
+    return field(default_factory=lambda: np.zeros(0, dtype=dtype))
+
+
 @dataclass(frozen=True)
 class ProtocolTranscript:
-    """Complete replayable record of one protocol run."""
+    """Complete replayable record of one protocol run.
+
+    The six fields every run records come first.  The others default to a run
+    that never reached them: empty uint8 arrays (bool for block_success),
+    disagreements 0, qber NaN, no abort and no Eve fields.
+    """
     config_seed: int
-    aborted: bool
-    abort_reason: str | None
     alice_bits: np.ndarray
     alice_bases: np.ndarray
     bob_bases: np.ndarray
     bob_bits: np.ndarray
     sift_mask: np.ndarray
-    check_indices: np.ndarray
-    keep_indices: np.ndarray
-    disagreements: int
-    qber_estimate: float
-    announced_offset: np.ndarray     # per block, x - v_k (mod 2), flattened
-    alice_key: np.ndarray
-    bob_key: np.ndarray
-    block_success: np.ndarray
+    aborted: bool = False
+    abort_reason: str | None = None
+    check_indices: np.ndarray = _empty()
+    keep_indices: np.ndarray = _empty()
+    disagreements: int = 0
+    qber_estimate: float = math.nan
+    announced_offset: np.ndarray = _empty()     # per block, x - v_k (mod 2), flattened
+    alice_key: np.ndarray = _empty()
+    bob_key: np.ndarray = _empty()
+    block_success: np.ndarray = _empty(bool)
     eve_mask: np.ndarray | None = None
     eve_bases: np.ndarray | None = None
     eve_bits: np.ndarray | None = None
@@ -243,36 +252,23 @@ def run_bb84(cfg: ProtocolConfig, ch: ChannelModel) -> ProtocolTranscript:
 
     sift_mask = alice_bases == bob_bases
     sifted = np.nonzero(sift_mask)[0]
-    base = dict(
-        config_seed=seed,
-        alice_bits=alice_bits, alice_bases=alice_bases,
-        bob_bases=bob_bases, bob_bits=bob_bits, sift_mask=sift_mask,
-        **eve,
-    )
-    empty = np.zeros(0, dtype=np.uint8)
+    run = dict(config_seed=seed, alice_bits=alice_bits, alice_bases=alice_bases,
+               bob_bases=bob_bases, bob_bits=bob_bits, sift_mask=sift_mask, **eve)
 
     if sifted.size < 2 * n:
-        return ProtocolTranscript(
-            aborted=True, abort_reason="sifting left fewer than 2n bits",
-            check_indices=empty, keep_indices=empty, disagreements=0,
-            qber_estimate=float("nan"), announced_offset=empty,
-            alice_key=empty, bob_key=empty,
-            block_success=np.zeros(0, dtype=bool), **base)
+        return ProtocolTranscript(aborted=True, abort_reason="sifting left fewer than 2n bits",
+                                  **run)
 
     perm = stream(seed, "selection").permutation(sifted.size)
     chosen = sifted[perm[:2 * n]]
-    check_idx = np.sort(chosen[:n])
-    keep_idx = np.sort(chosen[n:])
+    check_idx, keep_idx = np.sort(chosen[:n]), np.sort(chosen[n:])
     disagreements = int(np.sum(alice_bits[check_idx] != bob_bits[check_idx]))
-    qber = disagreements / n
+    run.update(check_indices=check_idx, keep_indices=keep_idx,
+               disagreements=disagreements, qber_estimate=disagreements / n)
 
     if disagreements > cfg.threshold:
-        return ProtocolTranscript(
-            aborted=True, abort_reason="check-bit disagreements above threshold",
-            check_indices=check_idx, keep_indices=keep_idx,
-            disagreements=disagreements, qber_estimate=qber,
-            announced_offset=empty, alice_key=empty, bob_key=empty,
-            block_success=np.zeros(0, dtype=bool), **base)
+        return ProtocolTranscript(aborted=True,
+                                  abort_reason="check-bit disagreements above threshold", **run)
 
     n_blocks = n // code.n
     msgs = stream(seed, "codewords").integers(0, 2, (n_blocks, code.c1.k)).astype(np.uint8)
@@ -280,13 +276,8 @@ def run_bb84(cfg: ProtocolConfig, ch: ChannelModel) -> ProtocolTranscript:
     keys_a, keys_b, success, offsets = _reconcile_blocks(
         code, alice_bits[kept].reshape(n_blocks, code.n),
         bob_bits[kept].reshape(n_blocks, code.n), msgs)
-
-    return ProtocolTranscript(
-        aborted=False, abort_reason=None,
-        check_indices=check_idx, keep_indices=keep_idx,
-        disagreements=disagreements, qber_estimate=qber,
-        announced_offset=offsets.ravel(), alice_key=keys_a.ravel(),
-        bob_key=keys_b.ravel(), block_success=success, **base)
+    return ProtocolTranscript(announced_offset=offsets.ravel(), alice_key=keys_a.ravel(),
+                              bob_key=keys_b.ravel(), block_success=success, **run)
 
 
 def run_batch(cfg: ProtocolConfig, ch: ChannelModel, trials: int) -> list[ProtocolTranscript]:

@@ -135,7 +135,7 @@ def cmd_qkd(args) -> int:
     matches = sum(t.keys_match for t in transcripts)
     survivors = len(transcripts) - aborts
     lines.append(formats.csv_row(["aggregate", aborts / len(transcripts),
-                                  float(np.mean(qbers)) if qbers else float("nan"),
+                                  float(np.mean(qbers)) if qbers else "",
                                   matches / survivors if survivors else 0.0]))
     _emit(lines, args.out)
     if args.transcripts:

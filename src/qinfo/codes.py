@@ -6,7 +6,8 @@ acts on column messages (codeword = G m mod 2); the parity check H is
 error patterns of weight <= t, exact at desk scale (n <= 24): a LinearCode
 caches per t its patterns sorted by integer syndrome (at most 64 checks), so
 one searchsorted decodes a (B, n) stack of words; decode is the one-row case.
-Coset keys of a stack are one product with the cached G1 left inverse.
+A code eliminates G^T once; H, coset representatives and the CSS coset-key
+machinery reuse that echelon form, so the keys of a stack are one product.
 
 The CSS section builds quantum codes from a nested classical pair C2 within C1
 and verifies the correction procedure with a dense statevector simulation
@@ -109,18 +110,18 @@ def gf2_rank(m: np.ndarray) -> int:
     return len(gf2_rref(m)[1])
 
 
+def _nullspace_basis(r: np.ndarray, pivots) -> np.ndarray:
+    """gf2_nullspace from the matrix's (rref, pivots): one row per free column."""
+    free = np.setdiff1d(np.arange(r.shape[1]), pivots)
+    basis = np.zeros((free.size, r.shape[1]), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = r[:len(pivots)][:, free].T
+    return basis
+
+
 def gf2_nullspace(m: np.ndarray) -> np.ndarray:
     """Rows span {x : m x = 0 over GF(2)}; shape (cols - rank, cols)."""
-    rows, cols = m.shape
-    r, pivots = gf2_rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for prow, pc in enumerate(pivots):
-            if r[prow, fc]:
-                basis[i, pc] = 1
-    return basis
+    return _nullspace_basis(*gf2_rref(m))
 
 
 def gf2_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -150,7 +151,9 @@ class LinearCode:
     """An [n, k] (optionally [n, k, d]) binary linear code.
 
     The minimum distance is computed exhaustively at construction whenever
-    k <= 16, and a caller-supplied distance is verified the same way.
+    k <= 16, and a caller-supplied distance is verified the same way.  A
+    derived H is independent and annihilates G by construction, so only a
+    caller-supplied H is checked.
     """
 
     def __init__(self, generator: np.ndarray, parity_check: np.ndarray | None = None,
@@ -159,22 +162,25 @@ class LinearCode:
         if g.ndim != 2:
             raise ValueError("generator must be an n x k matrix")
         n, k = g.shape
-        if k > 0 and gf2_rank(g) != k:
+        rref, pivots = gf2_rref(g.T)
+        if len(pivots) != k:
             raise ValueError("generator columns must be independent")
         if parity_check is None:
-            h = gf2_nullspace(g.T)
+            h = _nullspace_basis(rref, pivots)
         else:
             h = np.array(parity_check, dtype=np.uint8) % 2
-        if h.shape != (n - k, n):
-            raise ValueError(f"parity check must be {(n - k, n)}, got {h.shape}")
-        if h.size and gf2_rank(h) != n - k:
-            raise ValueError("parity check rows must be independent")
-        if h.size and k and np.any(gf2_mul(h, g)):
-            raise ValueError("parity check does not annihilate the generator (HG != 0)")
-        g.setflags(write=False)
-        h.setflags(write=False)
+            if h.shape != (n - k, n):
+                raise ValueError(f"parity check must be {(n - k, n)}, got {h.shape}")
+            if h.size and gf2_rank(h) != n - k:
+                raise ValueError("parity check rows must be independent")
+            if h.size and k and np.any(gf2_mul(h, g)):
+                raise ValueError("parity check does not annihilate the generator (HG != 0)")
+        pivots = np.array(pivots, dtype=np.intp)
+        for a in (g, h, rref, pivots):
+            a.setflags(write=False)
         self.generator = g
         self.parity_check = h
+        self._echelon = (rref, pivots)   # of G^T, shared by H, coset reps and keys
         self._syndrome_tables = {}   # t -> _syndrome_lookup(self, t)
         if k == 0:
             self.distance = None
@@ -365,25 +371,21 @@ def css_code_bounds(code: "CssCode") -> QuantumBoundsReport:
 
 
 class CssCode:
-    """Quantum code built from classical codes C2 within C1.
+    """Quantum code CSS(C1, C2) built from classical codes C2 within C1.
 
     Logical dimension is 2^(k1 - k2); it corrects t bit flips through C1 and
-    t phase flips through the dual of C2.  ``u`` and ``v`` shift the basis
-    states (bit offset u, phase pattern v) and default to all-zero.
+    t phase flips through the dual of C2.  Its basis states are the plain
+    coset states of C2 in C1 (no bit offset or phase pattern).
     """
 
-    def __init__(self, c1: LinearCode, c2: LinearCode, u=None, v=None, t: int = 0):
+    def __init__(self, c1: LinearCode, c2: LinearCode, t: int = 0):
         if c1.n != c2.n:
             raise ValueError("component codes must share the block length n")
-        for col in range(c2.k):
-            if not c1.contains(c2.generator[:, col]):
-                raise ValueError("C2 is not contained in C1")
+        if np.any(gf2_mul(c1.parity_check, c2.generator)):
+            raise ValueError("C2 is not contained in C1")
         self.c1 = c1
         self.c2 = c2
-        self.u = _sized_bits(u, c1.n) if u is not None else np.zeros(c1.n, dtype=np.uint8)
-        self.v = _sized_bits(v, c1.n) if v is not None else np.zeros(c1.n, dtype=np.uint8)
         self.t = int(_check.integer(t, "t", 0))
-        self._key_cache = None
 
     @property
     def n(self) -> int:
@@ -398,11 +400,20 @@ class CssCode:
         """The dual of C2, built once so its syndrome lookups are cached too."""
         return dual_code(self.c2)
 
+    @cached_property
+    def _key_machinery(self):
+        """coset_key's pieces: C1's pivot rows, the G1 left inverse on them, and the
+        rref of C2's message image G1^-1 G2 with its pivot and free columns."""
+        rows = self.c1._echelon[1]
+        inv = gf2_inv(self.c1.generator[rows])
+        red, pivots = gf2_rref(self.c2.generator[rows].T @ inv.T % 2)
+        return rows, inv, red, pivots, np.setdiff1d(np.arange(self.c1.k), pivots)
+
     def __repr__(self) -> str:
         return f"CssCode[[{self.n}, {self.logical_bits}]] (t={self.t})"
 
 
-def css_construct(c1: LinearCode, c2: LinearCode, u=None, v=None) -> CssCode:
+def css_construct(c1: LinearCode, c2: LinearCode) -> CssCode:
     """Validated CSS code of C1 over C2.
 
     Requires C2 within C1 and derives t from the distances of C1 and of the
@@ -413,39 +424,17 @@ def css_construct(c1: LinearCode, c2: LinearCode, u=None, v=None) -> CssCode:
     t = min((d1 - 1) // 2, (d2perp - 1) // 2)
     if t < 1:
         raise ValueError(f"insufficient distance: C1 d={d1}, dual(C2) d={d2perp}")
-    code = CssCode(c1, c2, u, v, t=t)
+    code = CssCode(c1, c2, t=t)
     code.dual_c2 = c2perp   # fills the cached property, so the dual is built once
     return code
 
 
 def canonical_coset_rep(code: LinearCode, word) -> np.ndarray:
-    """Deterministic representative of word + C: zero out the pivot positions."""
-    w = bits(word).copy()
-    if code.k == 0:
-        return w
-    basis, pivots = gf2_rref(code.generator.T)
-    for row, col in enumerate(pivots):
-        if w[col]:
-            w ^= basis[row]
-    return w
-
-
-def _key_machinery(code: CssCode):
-    """Cached pieces for coset_key: a G1 left inverse and the C2 message image."""
-    if code._key_cache is None:
-        g1 = code.c1.generator
-        _, pivot_rows = gf2_rref(g1.T)
-        inv = gf2_inv(g1[pivot_rows, :])
-        if code.c2.k:
-            img = np.zeros((code.c2.k, code.c1.k), dtype=np.uint8)
-            for j in range(code.c2.k):
-                img[j] = gf2_solve(g1, code.c2.generator[:, j])
-            red, pivots = gf2_rref(img)
-        else:
-            red, pivots = np.zeros((0, code.c1.k), dtype=np.uint8), []
-        free = [c for c in range(code.c1.k) if c not in pivots]
-        code._key_cache = (np.array(pivot_rows), inv, red, pivots, free)
-    return code._key_cache
+    """Deterministic representative of word + C: zero out the pivot positions
+    (one product, as each rref row of G^T is zero at every other pivot)."""
+    w = _sized_bits(word, code.n)
+    basis, pivots = code._echelon
+    return w ^ (w[pivots] @ basis % 2)
 
 
 def _coset_keys(code: CssCode, words: np.ndarray) -> np.ndarray:
@@ -454,7 +443,7 @@ def _coset_keys(code: CssCode, words: np.ndarray) -> np.ndarray:
     Reducing m modulo the rref rows of the C2 image, one row per pivot, is a
     single product because each row is zero at every other pivot column.
     """
-    pivot_rows, inv, red, pivots, free = _key_machinery(code)
+    pivot_rows, inv, red, pivots, free = code._key_machinery
     m = words[:, pivot_rows] @ inv.T % 2
     if np.any(m @ code.c1.generator.T % 2 != words):
         raise ValueError("word is not a codeword of C1")
@@ -475,8 +464,8 @@ def coset_key(code: CssCode, v) -> np.ndarray:
 def css_basis_state(code: CssCode, x) -> np.ndarray:
     """Amplitude vector of the logical basis state for a coset of C2 in C1.
 
-    The state is the equal superposition over x + y + u for y in C2, with
-    phases (-1)^(v.y), normalised by sqrt(|C2|).  It depends on x only through
+    The state is the equal superposition over x + y for y in C2, normalised
+    by sqrt(|C2|).  It depends on x only through
     its coset, and distinct cosets give orthogonal states.  Dense scale cap:
     n <= 16.
     """
@@ -488,8 +477,7 @@ def css_basis_state(code: CssCode, x) -> np.ndarray:
     vec = np.zeros(1 << code.n, dtype=complex)
     norm = 1.0 / math.sqrt(1 << code.c2.k)
     for y in code.c2.codewords():
-        phase = (-1.0) ** int(gf2_mul(code.v[None, :], y)[0])
-        vec[bits_to_index(x ^ y ^ code.u)] += phase * norm
+        vec[bits_to_index(x ^ y)] += norm
     return vec
 
 
@@ -553,8 +541,6 @@ def simulate_css_correction(code: CssCode, x, e1, e2) -> CssCorrectionResult:
     """
     if code.n > 10:
         raise ValueError("dense correction simulation capped at n <= 10")
-    if np.any(code.u) or np.any(code.v):
-        raise ValueError("correction simulation expects the u = v = 0 code")
     x = bits(x)
     vec = css_basis_state(code, x)
     vec = apply_bit_flips(vec, e1, code.n)

@@ -45,21 +45,23 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def _holds_bool(obj) -> bool:
-    return isinstance(obj, bool) or isinstance(obj, list) and any(map(_holds_bool, obj))
+def _holds_non_number(obj) -> bool:
+    return (isinstance(obj, (bool, str))
+            or isinstance(obj, list) and any(map(_holds_non_number, obj)))
 
 
 def _floats(obj, what: str) -> np.ndarray:
-    """Float array from a JSON array (possibly nested) of numbers; true and
-    false are not numbers, although numpy reads them as 1 and 0."""
+    """Float array from a JSON array (possibly nested) of numbers; true, false
+    and strings are not numbers, although numpy reads them as 1, 0 and "0.5"
+    as 0.5."""
     if not isinstance(obj, list):
         raise ValueError(f"{what} must be a JSON array of numbers")
     try:
         out = np.asarray(obj, dtype=float)
-    except TypeError:
+    except (TypeError, ValueError):
         out = None
-    # only an array that converted is walked for bools, so the walk is at most 32 deep
-    if out is None or _holds_bool(obj):
+    # only an array that converted is walked, so the walk is at most 64 deep
+    if out is None or _holds_non_number(obj):
         raise ValueError(f"{what} must hold only numbers")
     return out
 

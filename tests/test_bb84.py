@@ -490,3 +490,20 @@ class TestTranscriptFieldTypes:
         assert all(getattr(t, f.name).ndim == 1 for f in dataclasses.fields(t) if f.name in got)
         assert (t.eve_mask is None) == (kind != "intercept_resend")
         assert type(t.disagreements) is int and type(t.qber_estimate) is float
+
+    @pytest.mark.parametrize("case", list(DTYPE_CASES))
+    def test_run_passes_only_the_fields_it_reached(self, monkeypatch, case):
+        passed, real = [], bb84.ProtocolTranscript
+
+        def recording(**fields):
+            passed.append(fields)
+            return real(**fields)
+
+        n, delta, threshold, seed, kind, param, _ = DTYPE_CASES[case]
+        monkeypatch.setattr(bb84, "ProtocolTranscript", recording)
+        run_bb84(ProtocolConfig(n=n, delta=delta, threshold=threshold, code=STEANE,
+                                master_seed=seed), ChannelModel(kind, param))
+        (fields,) = passed
+        assert not [k for k, v in fields.items() if isinstance(v, np.ndarray) and v.size == 0]
+        assert ("announced_offset" in fields) == (not case.endswith("abort"))
+        assert ("check_indices" in fields) == (case != "sifting-abort")

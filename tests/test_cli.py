@@ -376,6 +376,16 @@ class TestQkdCommand:
         assert hashlib.sha256(transcripts.read_bytes()).hexdigest() == (
             "8aae9dc87cd3f3491e84e340e9229c7d67d3eefab08b235d1c1ce45c321a4f27")
 
+    def test_all_sifting_aborts_print_an_empty_aggregate_qber(self, tmp_path, capsys):
+        # no trial has a qber, so the aggregate cell is empty like the trial rows'
+        (tmp_path / "sift.json").write_text(json.dumps(
+            {"n": 64, "delta": 0.0, "channel": {"kind": "ideal"}}))
+        code, out = run_cli(["qkd", "--config", str(tmp_path / "sift.json"),
+                             "--seed", "1", "--trials", "2"], capsys)
+        assert code == 0
+        assert out == ("trial,aborted,sifted_count,qber,key_len,keys_match\n"
+                       "0,1,126,,0,0\n1,1,125,,0,0\naggregate,1,,0\n")
+
 
 QKD_IDEAL = {"n": 64, "channel": {"kind": "ideal"}}
 QKD = ["qkd", "--config", "{bad}", "--seed", "1"]
@@ -433,6 +443,17 @@ class TestBadInput:
                      "must hold only numbers", id="channel-bool"),
         pytest.param(["qinfo", "--density", "{bad}"], {"dim": 1, "re": [True]},
                      "must hold only numbers", id="density-re-bool"),
+        pytest.param(["entropy", "--inline", '["0.5", "0.5"]'], None, "must hold only numbers",
+                     id="entropy-numeric-strings"),
+        pytest.param(["entropy", "--inline", '["a", 0.5]'], None, "must hold only numbers",
+                     id="entropy-string"),
+        pytest.param(["qinfo", "--density", "{bad}"], {"dim": 1, "re": ["1"]},
+                     "must hold only numbers", id="density-re-string"),
+        pytest.param(["capacity", "--channel", "{bad}"],
+                     {"rows": [["0.9", "0.1"], ["0.1", "0.9"]]}, "must hold only numbers",
+                     id="channel-string"),
+        pytest.param(["capacity", "--channel", "{bad}"], {"rows": [[0.9, 0.1], [0.1, "x"]]},
+                     "must hold only numbers", id="channel-nested-string"),
         pytest.param(["capacity", "--channel", "{bad}", "--tol", "0"],
                      {"rows": [[0.89, 0.11], [0.11, 0.89]]}, "best 0.5000840",
                      id="capacity-no-convergence"),

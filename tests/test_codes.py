@@ -1,5 +1,7 @@
 import hashlib
+import inspect
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -656,3 +658,70 @@ class TestPinnedCodeFamily:
                 pairs += 1
         assert pairs == 220
         assert h.hexdigest() == self.DIGEST
+
+
+class TestOneEchelonForm:
+    @pytest.fixture
+    def rref_calls(self, monkeypatch):
+        calls = []
+        real = codes.gf2_rref
+        monkeypatch.setattr(codes, "gf2_rref", lambda m: calls.append(m.shape) or real(m))
+        return calls
+
+    @pytest.mark.parametrize("g", [hamming_7_4().generator, np.zeros((3, 0), np.uint8),
+                                   np.eye(4, dtype=np.uint8)], ids=["hamming", "k0", "k=n"])
+    def test_derived_parity_check_costs_one_elimination(self, rref_calls, g):
+        c = LinearCode(g)
+        assert rref_calls == [g.T.shape]
+        assert np.array_equal(c.parity_check, gf2_nullspace(g.T))
+        assert not c._echelon[0].flags.writeable and not c._echelon[1].flags.writeable
+
+    def test_supplied_parity_check_is_still_checked(self, rref_calls):
+        h = hamming_7_4()
+        assert len(rref_calls) == 1
+        with pytest.raises(ValueError, match="independent"):
+            LinearCode(h.generator, np.vstack([h.parity_check[:2]] * 2)[:3])
+        with pytest.raises(ValueError, match="annihilate"):
+            LinearCode(h.generator, np.roll(h.parity_check, 1, axis=1))
+        rref_calls.clear()
+        dual_code(h)
+        assert len(rref_calls) == 2   # the echelon form, then the supplied H's rank
+
+    def test_reps_and_keys_reuse_the_echelon_form(self, rref_calls):
+        s = css_construct(hamming_7_4(), simplex_7_3())
+        words = s.c1.codewords()
+        coset_key(s, words[1])
+        rref_calls.clear()
+        for w in words:
+            coset_key(s, w)
+            canonical_coset_rep(s.c1, w)
+            canonical_coset_rep(s.c2, w)
+        _coset_keys(s, words)
+        assert rref_calls == []
+
+    def test_keys_never_solve_per_column(self, monkeypatch):
+        monkeypatch.setattr(codes, "gf2_solve", None)
+        s = css_construct(hamming_7_4(), simplex_7_3())
+        assert {tuple(coset_key(s, w)) for w in s.c1.codewords()} == {(0,), (1,)}
+        for path in Path(codes.__file__).parent.glob("*.py"):
+            text = path.read_text()
+            assert text.count("gf2_solve(") == text.count("def gf2_solve("), path.name
+
+    def test_css_code_carries_no_offsets_or_hand_cache(self):
+        s = steane_css()
+        for name in ("u", "v", "_key_cache"):
+            assert not hasattr(s, name)
+        for fn in (CssCode, css_construct):
+            assert not {"u", "v"} & set(inspect.signature(fn).parameters)
+
+    def test_empty_c1_gives_an_empty_key(self):
+        # the key machinery indexed C1's pivots with a float array when k1 = 0
+        z = LinearCode(np.zeros((3, 0), np.uint8))
+        key = coset_key(CssCode(z, z), "000")
+        assert key.dtype == np.uint8 and key.shape == (0,)
+        with pytest.raises(ValueError, match="not a codeword"):
+            coset_key(CssCode(z, z), "010")
+
+    def test_coset_rep_needs_a_word_of_length_n(self):
+        with pytest.raises(ValueError, match="length 3 != 7"):
+            canonical_coset_rep(hamming_7_4(), "000")
