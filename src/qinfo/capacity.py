@@ -5,7 +5,8 @@ max over inputs of H(X:Y) is computed by the standard alternating-optimisation
 iteration; the quantum product-state capacity is lower-bounded by a direct
 search over pure-state ensembles of the output Holevo quantity, evaluated on
 trusted stacked arrays.  The square-root ("pretty good") measurement used by
-block decoding is built explicitly from the signal projectors.
+block decoding is built explicitly from the signal projectors.  Only the
+ensemble search of ``hsw_capacity_estimate`` uses SciPy, imported on first call.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.optimize
 
 from . import _check
 from .entropy import mutual_information, validate_dist, validate_stochastic
@@ -178,6 +178,7 @@ def hsw_capacity_estimate(op: QuantumChannel, restarts: int = 16, tol: float = 1
     canonical = np.zeros(size)
     canonical[m:].reshape(m, 2 * d)[:, :d] = np.eye(d)[np.arange(m) % d]
 
+    from scipy.optimize import minimize   # here, so that importing qinfo skips SciPy
     best_val = -math.inf
     best_theta = canonical
     for trial in range(restarts + 1):
@@ -186,7 +187,7 @@ def hsw_capacity_estimate(op: QuantumChannel, restarts: int = 16, tol: float = 1
         else:
             rng = stream(seed, f"hsw-restart-{trial}")
             theta0 = rng.normal(size=size)
-        res = scipy.optimize.minimize(
+        res = minimize(
             objective, theta0, method="Nelder-Mead",
             options={"maxiter": 2000, "xatol": 1e-7, "fatol": tol, "adaptive": True})
         if -res.fun > best_val:

@@ -19,9 +19,16 @@ from . import _check, bb84, capacity, codes, entropy, formats, qentropy, typical
 from .states import DensityMatrix
 
 
+def _parse_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:   # json's own depth limit; a bad input like any other
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def _read_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        return _parse_json(fh.read())
 
 
 def _read_code(path: str) -> codes.LinearCode:
@@ -49,7 +56,7 @@ def _emit_result(args, result: dict, row: dict | None = None) -> int:
 
 
 def cmd_entropy(args) -> int:
-    raw = json.loads(args.inline) if args.dist is None else _read_json(args.dist)
+    raw = _parse_json(args.inline) if args.dist is None else _read_json(args.dist)
     p = formats.dist_from_json(raw)
     result = {"shannon_entropy": entropy.shannon_entropy(p)}
     if args.relative:
@@ -79,7 +86,7 @@ def cmd_codes(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    probs = tuple(formats.dist_from_json(json.loads(args.probs)).tolist())
+    probs = tuple(formats.dist_from_json(_parse_json(args.probs)).tolist())
     blocks = [int(x) for x in args.blocks.split(",")]
     if args.quantum:
         header = "n,epsilon,rank,typical_mass,fidelity"

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from . import _check
 from . import entropy as centropy
@@ -286,5 +285,8 @@ def quantum_fano_gap(rho, op: QuantumChannel) -> float:
 def classical_quantum_state(ensemble: Ensemble) -> DensityMatrix:
     """Block state sum_i p_i |i><i| (x) rho_i used by the mixing bound."""
     probs, states = _validate_ensemble(ensemble)
-    blocks = [p * s.mat for p, s in zip(probs, states)]
-    return DensityMatrix(scipy.linalg.block_diag(*blocks), (len(states), states[0].dim))
+    m, d = len(states), states[0].dim
+    mat = np.zeros((m * d, m * d), dtype=complex)
+    for i, (p, s) in enumerate(zip(probs, states)):
+        mat[i * d:(i + 1) * d, i * d:(i + 1) * d] = p * s.mat
+    return DensityMatrix(mat, (m, d))

@@ -11,12 +11,13 @@ Conventions fixed once and used everywhere:
 * in a tensor product the *left* factor is subsystem A and owns the
   slowest-varying (most significant) index, exactly as ``numpy.kron``,
 * eigenvalues are reported in descending order.
+
+Only ``cyclic_averaging`` uses SciPy (its Schur form), imported on first call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from . import _check
 
@@ -433,8 +434,9 @@ def cyclic_averaging(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     if not is_normal(a):
         raise ValueError("cyclic_averaging requires a normal matrix")
     d = a.shape[0]
+    from scipy.linalg import schur   # here, so that importing qinfo skips SciPy
     # Schur form of a normal matrix is diagonal: a = z t z^dagger.
-    _, z = scipy.linalg.schur(a, output="complex")
+    _, z = schur(a, output="complex")
     unitaries = [_cyclic_shift(d, i) @ dag(z) for i in range(d)]
     average = np.zeros((d, d), dtype=complex)
     for u in unitaries:

@@ -468,6 +468,22 @@ class TestBadInput:
         assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
         assert "np." not in lines[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--inline", "{deep}"],
+        ["compress", "--probs", "{deep}", "--blocks", "4", "--eps", "0.3"],
+        ["entropy", "--dist", "{bad}"],
+        ["capacity", "--channel", "{bad}"],
+        ["qkd", "--config", "{bad}", "--seed", "1"],
+    ], ids=["entropy-inline", "compress-probs", "entropy-file", "capacity-file", "qkd-file"])
+    def test_deep_nesting_exits_2_with_one_error_line(self, tmp_path, capsys, argv):
+        deep = "[" * 100000 + "]" * 100000
+        bad = tmp_path / "bad.json"
+        bad.write_text(deep)
+        code = main([a.replace("{bad}", str(bad)).replace("{deep}", deep) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: JSON input is nested too deeply\n"
+
     @pytest.mark.parametrize("argv,fragment", [
         (["entropy"], "one of the arguments --dist --inline is required"),
         (["entropy", "--dist", "{bad}", "--inline", "[0.5, 0.5]"],

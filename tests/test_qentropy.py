@@ -237,6 +237,25 @@ class TestHolevo:
             assert holevo_chi(ens).hex() == want.hex()
 
 
+class TestClassicalQuantumState:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_bits_equal_scipy_block_diag(self, d, rng):
+        # the reference is the construction the function used before it dropped SciPy
+        from scipy.linalg import block_diag
+        for _ in range(30):
+            m = int(rng.integers(2, 6))
+            w = rng.random(m)
+            w[int(rng.integers(m))] = 0.0
+            probs = validate_dist(w / w.sum())
+            states = [random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1)))
+                      for _ in range(m)]
+            cq = classical_quantum_state([(float(p), s) for p, s in zip(probs, states)])
+            want = block_diag(*[p * s.mat for p, s in zip(probs, states)])
+            assert cq.dims == (m, d)
+            assert cq.mat.dtype == want.dtype and np.array_equal(cq.mat, want)
+            assert cq.mat.tobytes() == want.tobytes()
+
+
 class TestEntropyExchange:
     def test_identity_channel(self, rng):
         rho = random_density_matrix(2, rng)
