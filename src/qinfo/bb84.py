@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,7 +71,9 @@ class ChannelModel:
 
     def __post_init__(self):
         if self.kind not in ("ideal", "depolarizing", "intercept_resend"):
-            raise ValueError(f"unknown channel kind {self.kind!r}")
+            # reprlib cuts a long or deeply nested kind to a few dozen characters
+            raise ValueError(f"unknown channel kind {reprlib.repr(self.kind)}; expected "
+                             "'ideal', 'depolarizing' or 'intercept_resend'")
         _check.real(self.param, "param", 0, 1)
 
     def operation(self) -> QuantumChannel:

@@ -4,9 +4,10 @@ A classical channel is a row-stochastic matrix p(y|x).  Its capacity
 max over inputs of H(X:Y) is computed by the standard alternating-optimisation
 iteration; the quantum product-state capacity is lower-bounded by a direct
 search over pure-state ensembles of the output Holevo quantity, evaluated on
-trusted stacked arrays.  The square-root ("pretty good") measurement used by
-block decoding is built explicitly from the signal projectors.  Only the
-ensemble search of ``hsw_capacity_estimate`` uses SciPy, imported on first call.
+trusted stacked arrays.  That search is a port of SciPy's adaptive Nelder-Mead
+whose restarts run in lock-step, so nothing here loads SciPy.  The square-root
+("pretty good") measurement used by block decoding is built explicitly from
+the signal projectors.
 """
 
 from __future__ import annotations
@@ -103,14 +104,14 @@ def noiseless(k: int) -> np.ndarray:
 
 
 def _row_norms(vecs: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each row of a complex (m, d) stack, bit for bit."""
+    """np.linalg.norm of each row of a complex (..., m, d) stack, bit for bit."""
     return np.sqrt(np.vecdot(vecs.real, vecs.real) + np.vecdot(vecs.imag, vecs.imag))
 
 
 def _unit_outputs(op: QuantumChannel, vecs: np.ndarray) -> np.ndarray:
-    """Channel outputs (m, d_out, d_out) of the normalised rows of a trusted (m, d) stack."""
-    u = vecs / _row_norms(vecs)[:, None]
-    return op.apply_mat(u[:, :, None] * u.conj()[:, None, :])
+    """Outputs (..., m, d_out, d_out) of the normalised rows of a trusted (..., m, d) stack."""
+    u = vecs / _row_norms(vecs)[..., None]
+    return op.apply_mat(u[..., :, None] * u.conj()[..., None, :])
 
 
 def _pure_outputs(op: QuantumChannel, ensemble) -> tuple[np.ndarray, np.ndarray]:
@@ -134,23 +135,104 @@ def hsw_chi(op: QuantumChannel, ensemble: list[tuple[float, np.ndarray]]) -> flo
     ``ensemble`` holds (probability, state vector) pairs, normalised here.
     Its maximum over ensembles is the product-state capacity.
     """
-    return _holevo(*_pure_outputs(op, ensemble))
+    return float(_holevo(*_pure_outputs(op, ensemble)))
 
 
 def _theta_to_ensemble(theta: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reals -> simplex weights and (d^2, d) unit rows; row j of norm < 1e-12 becomes |j mod d>."""
+    """Reals (..., size) -> simplex weights (..., d^2) and unit rows (..., d^2, d).
+
+    Row j of norm < 1e-12 becomes |j mod d>.  Each point of a stack gets the bits of its own call.
+    """
     m = d * d
-    w = np.exp(theta[:m] - theta[:m].max())
-    w /= w.sum()
-    rest = theta[m:].reshape(m, 2 * d)
-    vecs = rest[:, :d] + 1j * rest[:, d:]
+    w = np.exp(theta[..., :m] - theta[..., :m].max(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    rest = theta[..., m:].reshape(theta.shape[:-1] + (m, 2 * d))
+    vecs = rest[..., :d] + 1j * rest[..., d:]
     norms = _row_norms(vecs)
     dead = norms < 1e-12
     if dead.any():
         # a basis row has norm exactly 1.0, so one norm array serves both uses
-        vecs[dead] = np.eye(d)[np.arange(m)[dead] % d]
+        vecs[dead] = np.eye(d)[np.nonzero(dead)[-1] % d]
         norms[dead] = 1.0
-    return w, vecs / norms[:, None]
+    return w, vecs / norms[..., None]
+
+
+def _nelder_mead(x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
+    """SciPy 1.17's adaptive Nelder-Mead (Gao & Han 2012) as a generator.
+
+    Yields (k, n) stacks of points to score and receives their k values;
+    returns ``(x, fun, nit)``.  Each step is SciPy's ``_minimize_neldermead``
+    without bounds, callback or an evaluation cap, with reflection factor 1
+    folded in, so every point and value matches ``minimize`` bit for bit.
+    """
+    n = x0.size
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    sim = np.tile(x0, (n + 1, 1))
+    np.fill_diagonal(sim[1:], np.where(x0 != 0, 1.05 * x0, 0.00025))
+    fsim = np.array((yield sim), dtype=float)
+    for _ in range(2):   # SciPy sorts twice; argsort is unstable on ties
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    nit = 1
+    while nit < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        (fxr,) = yield xr[None]
+        if fxr < fsim[0]:
+            xe = (1 + chi) * xbar - chi * sim[-1]
+            (fxe,) = yield xe[None]
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = (1 + psi) * xbar - psi * sim[-1]
+                (fxc,) = yield xc[None]
+                accept = fxc <= fxr
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                (fxc,) = yield xc[None]
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                fsim[1:] = yield sim[1:]
+        nit += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nit
+
+
+def _lockstep(score, searches: list) -> list:
+    """Drive ``_nelder_mead`` generators together; return their results in order.
+
+    Each round, the points that every live search asks for go to ``score``
+    as (k, n) stacks of at most 256 points, which it maps to k values; the
+    cap keeps memory flat in the number of searches.  A round of one point
+    passes that (n,) point alone, because the unstacked call is cheaper.
+    """
+    results = [None] * len(searches)
+    asks = {i: next(s) for i, s in enumerate(searches)}
+    while asks:
+        stacks = list(asks.values())
+        if len(stacks) == 1 and len(stacks[0]) == 1:
+            values = [score(stacks[0][0])]
+        else:
+            points = np.concatenate(stacks)
+            values = np.concatenate([score(points[j:j + 256]) for j in range(0, len(points), 256)])
+        at = 0
+        for i, pts in list(asks.items()):
+            try:
+                asks[i] = searches[i].send(values[at:at + len(pts)])
+            except StopIteration as done:
+                results[i] = done.value
+                del asks[i]
+            at += len(pts)
+    return results
 
 
 def hsw_capacity_estimate(op: QuantumChannel, restarts: int = 16, tol: float = 1e-8,
@@ -161,8 +243,10 @@ def hsw_capacity_estimate(op: QuantumChannel, restarts: int = 16, tol: float = 1
     with a derivative-free simplex search.  The first start is the
     computational-basis ensemble; the rest are random with seeds derived from
     ``seed``, so the result is deterministic and nondecreasing in
-    ``restarts``.  Evaluations run the kernels behind ``hsw_chi`` on stacked
-    arrays without validating; only the winner becomes a list of pairs.
+    ``restarts``.  The searches from all starts run in lock-step, and each
+    round scores the points they ask for as one stack with the kernels behind
+    ``hsw_chi``, without validating.  Every search takes the same steps as it
+    would alone; only the winner becomes a list of pairs.
     """
     _check.integer(restarts, "restarts", 0)
     _check.real(tol, "tol", 0)
@@ -171,28 +255,21 @@ def hsw_capacity_estimate(op: QuantumChannel, restarts: int = 16, tol: float = 1
     m = d * d
     size = m + m * 2 * d
 
-    def objective(theta: np.ndarray) -> float:
+    def objective(theta: np.ndarray):
         w, vecs = _theta_to_ensemble(theta, d)
         return -_holevo(w, _unit_outputs(op, vecs))
 
     canonical = np.zeros(size)
     canonical[m:].reshape(m, 2 * d)[:, :d] = np.eye(d)[np.arange(m) % d]
-
-    from scipy.optimize import minimize   # here, so that importing qinfo skips SciPy
+    starts = [canonical] + [stream(seed, f"hsw-restart-{trial}").normal(size=size)
+                            for trial in range(1, restarts + 1)]
     best_val = -math.inf
     best_theta = canonical
-    for trial in range(restarts + 1):
-        if trial == 0:
-            theta0 = canonical
-        else:
-            rng = stream(seed, f"hsw-restart-{trial}")
-            theta0 = rng.normal(size=size)
-        res = minimize(
-            objective, theta0, method="Nelder-Mead",
-            options={"maxiter": 2000, "xatol": 1e-7, "fatol": tol, "adaptive": True})
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_theta = res.x
+    searches = [_nelder_mead(x0, maxiter=2000, xatol=1e-7, fatol=tol) for x0 in starts]
+    for x, fun, _ in _lockstep(objective, searches):
+        if -fun > best_val:
+            best_val = -fun
+            best_theta = x
     w, vecs = _theta_to_ensemble(best_theta, d)
     return best_val, list(zip(w.tolist(), vecs))
 

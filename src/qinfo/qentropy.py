@@ -120,39 +120,46 @@ def _validate_ensemble(ensemble: Ensemble) -> tuple[np.ndarray, list[DensityMatr
 
 
 def _mix(probs: np.ndarray, mats) -> np.ndarray:
-    """sum_x p_x mats[x], accumulated from zero in member order so results are reproducible."""
-    mats = np.asarray(mats)
-    out = np.zeros(mats.shape[1:], dtype=complex)
-    for term in probs[:, None, None] * mats:
+    """sum_x p_x mats[x], accumulated from zero in member order so results are reproducible.
+
+    ``probs`` (m,) and ``mats`` (m, d, d) may carry one leading stack axis.
+    """
+    terms = probs[..., None, None] * np.asarray(mats)
+    out = np.zeros(terms.shape[:-3] + terms.shape[-2:], dtype=complex)
+    for term in terms.swapaxes(0, -3):
         out += term
     return out
 
 
-def _holevo(probs: np.ndarray, mats: np.ndarray) -> float:
+def _holevo(probs: np.ndarray, mats: np.ndarray):
     """chi of trusted member density matrices stacked as (m, d, d).
 
     The (m+1, d) spectrum stack of the mixture and the members is clamped
-    once, and ``chi -= p * S`` runs in member order, skipping ``p == 0``.
-    The result is bit-identical to taking ``_neg_sum_plogp`` of each clamped,
-    descending row.  A descending clamped row keeps its zeros at the end, and
-    numpy sums a row of fewer than 8 entries in sequence, so the masked
-    ``np.sum(..., axis=1)`` adds the same terms in the same order plus
+    once, and ``chi - p * S`` runs in member order.  The result is
+    bit-identical to taking ``_neg_sum_plogp`` of each clamped, descending
+    row and skipping ``p == 0``.  A descending clamped row keeps its zeros at
+    the end, and numpy sums a row of fewer than 8 entries in sequence, so the
+    masked ``np.sum(..., axis=-1)`` adds the same terms in the same order plus
     trailing zeros.  Rows of 8 or more entries are summed pairwise in blocks,
     where the inserted zeros would move the block boundaries, so those keep
-    the per-row sum.
+    the per-row sum.  A zero weight times a finite entropy is a signed zero,
+    and subtracting it leaves chi unchanged: chi starts as ``0.0 - sum``,
+    which is never -0.0, and ``x - y`` is -0.0 only when ``x`` is.
+
+    With one leading stack axis, ``probs`` (K, m) and ``mats`` (K, m, d, d)
+    give K values, each bit-identical to its own unstacked call, since every
+    step is elementwise or per matrix.  One ensemble gives a numpy float.
     """
-    spectra = clamp_spectrum(
-        np.linalg.eigvalsh(np.concatenate((_mix(probs, mats)[None], mats)))[:, ::-1])
-    if spectra.shape[1] < 8:
+    spectra = clamp_spectrum(np.linalg.eigvalsh(
+        np.concatenate((_mix(probs, mats)[..., None, :, :], mats), axis=-3))[..., ::-1])
+    if spectra.shape[-1] < 8:
         terms = spectra * np.log2(np.where(spectra > 0.0, spectra, 1.0))
-        entropies = (0.0 - np.sum(terms, axis=1)).tolist()
+        entropies = 0.0 - np.sum(terms, axis=-1)
     else:
-        entropies = [centropy._neg_sum_plogp(w) for w in spectra]
-    chi = entropies[0]
-    for p, s in zip(probs.tolist(), entropies[1:]):
-        if p > 0.0:
-            chi -= p * s
-    return chi
+        entropies = np.array([centropy._neg_sum_plogp(w) for w in
+                              spectra.reshape(-1, spectra.shape[-1])]).reshape(spectra.shape[:-1])
+    entropies[..., 1:] *= probs
+    return np.subtract.reduce(entropies, axis=-1)
 
 
 def ensemble_state(ensemble: Ensemble) -> DensityMatrix:
@@ -168,7 +175,7 @@ def holevo_chi(ensemble: Ensemble) -> float:
     information extractable from the ensemble by any measurement.
     """
     probs, states = _validate_ensemble(ensemble)
-    return _holevo(probs, np.stack([s.mat for s in states]))
+    return float(_holevo(probs, np.stack([s.mat for s in states])))
 
 
 def entropy_exchange(rho, op: QuantumChannel) -> float:

@@ -10,7 +10,10 @@ stacked kernels must reproduce bit for bit, and the standard library's
 json.dumps is the reference for the transcript writer's bytes.  The dense
 Schumacher fidelity builds rho^(x n) and the kept projector as full matrices
 and sums one inner product per dropped eigenvector block, the form the
-closed-form eigen-table fidelity replaced.
+closed-form eigen-table fidelity replaced.  The SciPy restart loop is the HSW
+search as it ran on ``scipy.optimize.minimize``, one restart after another,
+on the library's own unstacked objective; the lock-step search must match it
+bit for bit.
 """
 
 import itertools
@@ -164,3 +167,44 @@ def dense_schumacher_fidelity(rho_mat: np.ndarray, v: np.ndarray, kept: np.ndarr
     for flat in np.nonzero(~kept)[0]:
         fid += abs(np.vdot(vn[:, flat], rho_e0)) ** 2
     return float(fid)
+
+
+def hsw_estimate_scipy(op, restarts: int, tol: float = 1e-8, seed: int = 0) -> list:
+    """``hsw_capacity_estimate(op, r, tol, seed)`` for every r in 0..restarts.
+
+    Restart r's start depends only on ``seed`` and r, so one pass of the old
+    loop gives each estimate as the running best after its trial r.
+    """
+    from scipy.optimize import minimize
+
+    from qinfo.capacity import _theta_to_ensemble, _unit_outputs
+    from qinfo.qentropy import _holevo
+    from qinfo.rng import stream
+
+    d = op.dim_in
+    m = d * d
+    size = m + m * 2 * d
+
+    def objective(theta: np.ndarray) -> float:
+        w, vecs = _theta_to_ensemble(theta, d)
+        return -_holevo(w, _unit_outputs(op, vecs))
+
+    canonical = np.zeros(size)
+    canonical[m:].reshape(m, 2 * d)[:, :d] = np.eye(d)[np.arange(m) % d]
+    best_val = -math.inf
+    best_theta = canonical
+    estimates = []
+    for trial in range(restarts + 1):
+        if trial == 0:
+            theta0 = canonical
+        else:
+            theta0 = stream(seed, f"hsw-restart-{trial}").normal(size=size)
+        res = minimize(
+            objective, theta0, method="Nelder-Mead",
+            options={"maxiter": 2000, "xatol": 1e-7, "fatol": tol, "adaptive": True})
+        if -res.fun > best_val:
+            best_val = -res.fun
+            best_theta = res.x
+        w, vecs = _theta_to_ensemble(best_theta, d)
+        estimates.append((best_val, list(zip(w.tolist(), vecs))))
+    return estimates

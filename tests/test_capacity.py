@@ -6,6 +6,8 @@ import pytest
 
 from qinfo.capacity import (
     ConvergenceError,
+    _lockstep,
+    _nelder_mead,
     _theta_to_ensemble,
     _unit_outputs,
     bec,
@@ -20,6 +22,7 @@ from qinfo.capacity import (
 )
 from qinfo.entropy import binary_entropy, random_dist
 from qinfo.qentropy import _holevo
+from qinfo.rng import stream
 from qinfo.states import (
     KET_0,
     KET_1,
@@ -32,6 +35,26 @@ from qinfo.states import (
     random_channel,
     random_pure_state,
 )
+
+from conftest import random_kraus
+from oracles import hsw_estimate_scipy
+
+
+def drive_alone(search, score) -> tuple[tuple, int, int]:
+    """Run a ``_nelder_mead`` search scoring one point per call.
+
+    Returns its result, the number of points scored and the number of
+    multi-point asks after the first simplex (its shrink steps).
+    """
+    nfev, shrinks = 0, 0
+    points = next(search)
+    try:
+        while True:
+            nfev += len(points)
+            points = search.send([score(x) for x in points])
+            shrinks += len(points) > 1
+    except StopIteration as done:
+        return done.value, nfev, shrinks
 
 
 def weyl_depolarizing(f: float, d: int = 3) -> QuantumChannel:
@@ -200,12 +223,15 @@ class TestHswEstimate:
         vecs = np.stack([v for _, v in ens])
         assert hashlib.sha256(vecs.tobytes()).hexdigest() == vecs_sha256
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_objective_equals_validated_chi(self, d, rng):
+    # outputs in dimension 8 take the per-row entropy sum
+    @pytest.mark.parametrize("d,d_out", [(2, 2), (3, 3), (2, 8)], ids=["2", "3", "2-to-8"])
+    def test_objective_equals_validated_chi(self, d, d_out, rng):
         # the search scores theta with the trusted kernels; hsw_chi of the
-        # same ensemble as pairs must agree bit for bit, fallback rows included
-        op = random_channel(d, d, rng)
+        # same ensemble as pairs must agree bit for bit, fallback rows included,
+        # and a stack of K points must give each point the bits of its own call
+        op = QuantumChannel(random_kraus(d, d_out, d, rng))
         m = d * d
+        thetas, singles = [], []
         for i in range(500):
             theta = rng.normal(size=m + m * 2 * d) * 10.0 ** rng.integers(-3, 3)
             dead = int(rng.integers(0, m))
@@ -215,7 +241,85 @@ class TestHswEstimate:
             if i % 4 == 0:
                 assert np.array_equal(vecs[dead], ket(dead % d, d))
             pairs = list(zip(w.tolist(), vecs))
-            assert -_holevo(w, _unit_outputs(op, vecs)) == -hsw_chi(op, pairs)
+            chi = _holevo(w, _unit_outputs(op, vecs))
+            assert -chi == -hsw_chi(op, pairs)
+            thetas.append(theta)
+            singles.append((w, vecs, chi))
+        at = 0
+        for k in [1, 5, 21, 64] * 5:
+            w, vecs = _theta_to_ensemble(np.stack(thetas[at:at + k]), d)
+            chis = _holevo(w, _unit_outputs(op, vecs))
+            assert chis.shape == (k,)
+            for j, (w1, vecs1, chi1) in enumerate(singles[at:at + k]):
+                assert w[j].tobytes() == w1.tobytes() and vecs[j].tobytes() == vecs1.tobytes()
+                assert chis[j].hex() == chi1.hex()
+            at += k
+
+    # qubit searches that stop on the tolerances, one of them from a start
+    # with a dead row, the flat objective of the fully depolarizing channel,
+    # which shrinks, and a qutrit search stopped by a small iteration cap
+    @pytest.mark.parametrize("make,d,dead_row,xatol,fatol,maxiter,stops", [
+        (lambda rng: identity_channel(2), 2, None, 1e-3, 1e-6, 2000, "tol"),
+        (lambda rng: depolarizing_channel(0.3), 2, 2, 1e-3, 1e-6, 2000, "tol"),
+        (lambda rng: depolarizing_channel(1.0), 2, None, 1e-3, 1e-6, 2000, "shrink"),
+        (lambda rng: random_channel(3, 2, rng), 3, 4, 1e-7, 1e-8, 120, "maxiter"),
+    ], ids=["qubit", "dead-row", "shrink", "qutrit-maxiter"])
+    def test_port_equals_scipy_nelder_mead(self, make, d, dead_row, xatol, fatol, maxiter,
+                                           stops, rng):
+        from scipy.optimize import minimize
+        op = make(rng)
+        m = d * d
+
+        def objective(theta):
+            w, vecs = _theta_to_ensemble(theta, d)
+            return -_holevo(w, _unit_outputs(op, vecs))
+
+        x0 = rng.normal(size=m + m * 2 * d)
+        if dead_row is not None:
+            x0[m + dead_row * 2 * d: m + (dead_row + 1) * 2 * d] = 0.0
+        want = minimize(objective, x0, method="Nelder-Mead", options={
+            "maxiter": maxiter, "xatol": xatol, "fatol": fatol, "adaptive": True})
+        (x, fun, nit), nfev, shrinks = drive_alone(
+            _nelder_mead(x0, maxiter=maxiter, xatol=xatol, fatol=fatol), objective)
+        assert x.tobytes() == want.x.tobytes() and fun.hex() == want.fun.hex()
+        assert (nit, nfev) == (want.nit, want.nfev)
+        assert (nit == maxiter) == (stops == "maxiter")
+        assert (shrinks > 0) == (stops == "shrink")
+
+    def test_lockstep_gives_each_search_its_own_steps(self):
+        # 40 searches of a 7-dimensional quadratic with iteration caps 20-59:
+        # the first round's 320 points go out as two stacks, and the searches
+        # end in different rounds
+        centre = np.linspace(-1.0, 1.0, 7)
+
+        def score(x):
+            return np.sum((x - centre) ** 2 * np.arange(1, 8), axis=-1)
+
+        starts = [stream(3, f"lockstep-{i}").normal(size=7) for i in range(40)]
+        got = _lockstep(score, [_nelder_mead(x0, 20 + i, 1e-6, 1e-10)
+                                for i, x0 in enumerate(starts)])
+        for i, (x0, (x, fun, nit)) in enumerate(zip(starts, got)):
+            (want_x, want_fun, want_nit), _, _ = drive_alone(
+                _nelder_mead(x0, 20 + i, 1e-6, 1e-10), score)
+            assert x.tobytes() == want_x.tobytes() and fun.hex() == want_fun.hex()
+            assert nit == want_nit == 20 + i
+
+    # restarts 0 runs one search alone, the others run 2-5 searches in
+    # lock-step; each estimate must equal the old loop's, bit for bit
+    @pytest.mark.parametrize("make,restarts", [
+        (lambda: random_channel(2, 3, stream(11, "hsw-lockstep")), (0, 4)),
+        (lambda: QuantumChannel(random_kraus(2, 3, 2, stream(12, "hsw-lockstep"))), (1, 3)),
+        (lambda: depolarizing_channel(0.3), (2,)),
+    ], ids=["qubit", "qubit-to-qutrit", "depolarizing-0.3"])
+    def test_lockstep_equals_scipy_restart_loop(self, make, restarts):
+        op = make()
+        want = hsw_estimate_scipy(op, restarts=max(restarts), seed=21)
+        for r in restarts:
+            chi, ens = hsw_capacity_estimate(op, restarts=r, seed=21)
+            assert chi.hex() == want[r][0].hex()
+            assert [p.hex() for p, _ in ens] == [p.hex() for p, _ in want[r][1]]
+            assert (np.stack([v for _, v in ens]).tobytes()
+                    == np.stack([v for _, v in want[r][1]]).tobytes())
 
     def test_negative_restarts_rejected(self):
         with pytest.raises(ValueError, match="restarts"):

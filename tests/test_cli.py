@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from qinfo import formats
 from qinfo.bb84 import ChannelModel, ProtocolConfig, run_batch, run_bb84
 from qinfo.cli import main
 from qinfo.codes import hamming_7_4, repetition_code, steane_css
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -467,6 +473,23 @@ class TestBadInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
         assert "np." not in lines[0]
+
+    # a fresh `python -m qinfo.cli` process, whose shallow stack still parses
+    # JSON nested 980 deep; under pytest's deeper stack json would give up first
+    @pytest.mark.parametrize("kind", ['"' + "a" * 5000 + '"', "[" * 980 + "]" * 980],
+                             ids=["long-string", "nested-980"])
+    def test_unknown_channel_kind_gives_one_short_error_line(self, tmp_path, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 64, "channel": {"kind": ' + kind + "}}")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "qinfo.cli", "qkd", "--config", str(bad),
+                               "--seed", "1"], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: unknown channel kind ")
+        assert lines[0].endswith("expected 'ideal', 'depolarizing' or 'intercept_resend'")
+        assert len(lines[0]) < 120
 
     @pytest.mark.parametrize("argv", [
         ["entropy", "--inline", "{deep}"],

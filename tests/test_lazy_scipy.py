@@ -1,7 +1,8 @@
-"""SciPy is loaded only by the HSW search and cyclic averaging.
+"""SciPy is loaded only by cyclic averaging.
 
-The check runs in a fresh interpreter, because the test session itself may
-already have imported SciPy.
+Every command, the HSW estimate included, runs without loading it.  The check
+runs in a fresh interpreter, because the test session itself may already have
+imported SciPy.
 """
 
 import json
@@ -45,10 +46,12 @@ from qinfo.capacity import hsw_capacity_estimate
 from qinfo.states import cyclic_averaging, identity_channel
 
 chi, ensemble = hsw_capacity_estimate(identity_channel(2), restarts=0)
+after_hsw = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 a = np.diag([1.0, 2.0, 0.5]).astype(complex)
 unitaries, average = cyclic_averaging(a)
 print(json.dumps({
-    "exit_codes": codes_out, "scipy_before": before, "chi": chi, "members": len(ensemble),
+    "exit_codes": codes_out, "scipy_before": before, "scipy_after_hsw": after_hsw,
+    "chi": chi, "members": len(ensemble),
     "average_error": float(np.max(np.abs(average - np.trace(a) * np.eye(3)))),
     "unitaries": len(unitaries), "scipy_after": "scipy" in sys.modules,
 }))
@@ -63,7 +66,9 @@ def test_non_hsw_commands_load_no_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["exit_codes"] == [0] * 7
     assert result["scipy_before"] == []
-    # the two SciPy users still work once asked for in the same process
+    # the HSW estimate runs its own simplex search, without SciPy
     assert abs(result["chi"] - 1.0) < 1e-6 and result["members"] == 4
+    assert result["scipy_after_hsw"] == []
+    # cyclic averaging, the one SciPy user, still works once asked for
     assert result["average_error"] < 1e-7 and result["unitaries"] == 3
     assert result["scipy_after"]
