@@ -9,6 +9,7 @@ exits 2 with one ``error:`` line on stderr and no traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -151,6 +152,7 @@ def cmd_qkd(args) -> int:
     return 0
 
 
+@functools.cache   # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qinfo",
                                  description="information measures, coding and BB84 simulation")

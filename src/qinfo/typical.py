@@ -2,16 +2,15 @@
 
 A source emits i.i.d. symbols from a finite alphabet; a block of n symbols is
 epsilon-typical when its per-symbol surprisal sits within epsilon of the source
-entropy.  Everything here is exact at desk scale: one lexicographic table of
-the typicality and probability of every length-n sequence backs every set,
-mass and scheme.  The quantum numbers come from the table of the source's
-eigenvalues; only ``typical_subspace_projector`` and ``schumacher_compress``
-build dense d^n x d^n matrices (d^n capped at 256).  A ``ShannonScheme``
-reads the typical set's size and mass from its one table and lists sequences
-only when asked to compress or decompress; ``typical_set`` and
-``typical_set_mass`` list and sum member by member, and serve as its
-reference.  Asymptotic statements are therefore checked as monotone trends
-over small n, never as limits.
+entropy.  Typicality, probability and the Schumacher overlap factor depend
+only on a block's composition, so every summary number (a ``ShannonScheme``'s
+size, mass and reliability, ``schumacher_summary``'s rank, mass and fidelity)
+is an exact-count sum over O(n^(a-1)) type classes, not a^n sequences.
+``typical_set``, a scheme's index map and the dense d^n x d^n matrices of
+``typical_subspace_projector`` and ``schumacher_compress`` (d^n capped at 256)
+read one lexicographic table of every sequence; ``typical_set_mass`` sums it
+member by member as the reference for the class sums.  Asymptotic statements
+are therefore checked as monotone trends over small n, never as limits.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, product
 
 import numpy as np
@@ -100,23 +99,69 @@ def is_typical(seq, model: SourceModel) -> bool:
     return abs(total / n - model.entropy) <= model.epsilon
 
 
+def _symbol_surprisals(model: SourceModel) -> tuple[np.ndarray, np.ndarray]:
+    """Symbol probabilities and surprisals, once the block is within the size cap."""
+    if model.block_length * math.log2(model.alphabet_size) > ENUMERATION_CAP_BITS:
+        raise ValueError("typical set enumeration above the size cap")
+    p = np.asarray(model.probs, dtype=float)
+    return p, np.array([(-math.log2(x) if x > 0.0 else math.inf) for x in p])
+
+
+def _flags(total: np.ndarray, model: SourceModel) -> np.ndarray:
+    n = model.block_length
+    return np.isfinite(total) & (np.abs(total / n - model.entropy) <= model.epsilon)
+
+
 def _typical_table(model: SourceModel) -> tuple[np.ndarray, np.ndarray]:
     """Typicality flag and probability of every length-n sequence, lexicographic.
 
     Built one symbol at a time from the left, so each entry equals the scalar
     loops of ``is_typical`` and ``sequence_prob`` bit for bit.
     """
-    n, a = model.block_length, model.alphabet_size
-    if n * math.log2(a) > ENUMERATION_CAP_BITS:
-        raise ValueError("typical set enumeration above the size cap")
-    p = np.asarray(model.probs, dtype=float)
-    sur = np.array([(-math.log2(x) if x > 0.0 else math.inf) for x in p])
+    p, sur = _symbol_surprisals(model)
     total, prob = np.zeros(1), np.ones(1)
-    for _ in range(n):
+    for _ in range(model.block_length):
         total = np.add.outer(total, sur).ravel()
         prob = np.multiply.outer(prob, p).ravel()
-    mask = np.isfinite(total) & (np.abs(total / n - model.entropy) <= model.epsilon)
-    return mask, prob
+    return _flags(total, model), prob
+
+
+def _class_table(model: SourceModel, *weights: np.ndarray):
+    """Flag, size, probability and per-symbol weight products of each type class.
+
+    A class is built as its sorted member, like ``_typical_table`` but appending
+    no symbol below the last, so its flag and probability equal the full table's
+    entry for that member bit for bit.  Its size n!/prod(c_i!) grows as
+    count * k // run, run being the length of the trailing run of equal symbols.
+    """
+    p, sur = _symbol_surprisals(model)
+    step = np.array([p, *weights])
+    acc = np.array([[0.0]] + [[1.0]] * len(step))   # surprisal, then products
+    last = run = np.zeros(1, dtype=np.int64)
+    count = np.ones(1, dtype=np.int64)
+    for k in range(1, model.block_length + 1):
+        width = p.size - last
+        end = width.cumsum()
+        first = end - width   # each row's first child repeats its last symbol
+        sym = np.arange(end[-1]) - (first - last).repeat(width)
+        grown = np.ones(sym.size, dtype=np.int64)
+        grown[first] += run
+        count = count.repeat(width) * k // grown
+        acc = acc.repeat(width, axis=1)
+        acc[0] += sur.take(sym)
+        acc[1:] *= step.take(sym, axis=1)
+        last, run = sym, grown
+    return (_flags(acc[0], model), count, *acc[1:])
+
+
+def _most_probable(count: np.ndarray, prob: np.ndarray, limit: int) -> np.ndarray:
+    """How many of the ``limit`` most probable sequences each class holds: whole
+    classes by descending probability, ties to the earlier, then part of the next."""
+    order = np.argsort(-prob, kind="stable")
+    before = np.cumsum(count[order]) - count[order]
+    kept = np.zeros_like(count)
+    kept[order] = np.clip(min(int(limit), int(count.sum())) - before, 0, count[order])
+    return kept
 
 
 def _sequences(model: SourceModel, mask: np.ndarray) -> list[tuple[int, ...]]:
@@ -131,12 +176,12 @@ def typical_set(model: SourceModel) -> list[tuple[int, ...]]:
 
 
 def typical_set_mass(model: SourceModel) -> float:
-    """Exact total probability of the typical set, summed member by member.
+    """Total probability of the typical set, summed member by member with ``math.fsum``.
 
-    The per-member reference for ``ShannonScheme.set_mass``, which sums the
-    same products in the same order straight from the table.
+    The per-member reference for ``ShannonScheme.set_mass``, which sums over
+    type classes; the two agree to within n rounding errors of the mass.
     """
-    return float(sum(sequence_prob(seq, model.probs) for seq in typical_set(model)))
+    return math.fsum(sequence_prob(seq, model.probs) for seq in typical_set(model))
 
 
 def multinomial_count(model: SourceModel) -> tuple[int, float]:
@@ -167,44 +212,47 @@ class ShannonScheme:
     Sequences in ``included`` (a subset of the typical set) map bijectively to
     indices 1..len(included), assigned in lexicographic order; index 0 is the
     reserved failure index that every other sequence, and every sequence with
-    a non-integer or bool symbol, compresses to.  ``reliability`` is the exact
+    a non-integer or bool symbol, compresses to.  ``reliability`` is the
     probability that decompression inverts compression.  ``set_size`` and
-    ``set_mass`` are the size and exact mass of the whole typical set, before
-    an undersized rate trims it, so ``reliability == set_mass`` when nothing
-    is trimmed.  ``included`` and the index map are built on first use by
-    ``compress`` or ``decompress``; a scheme asked only for its numbers never
-    lists a sequence.
+    ``set_mass`` are the size and mass of the whole typical set, before an
+    undersized rate trims it, so ``reliability == set_mass`` when nothing is
+    trimmed; all three are sums over type classes.  ``included`` and the index
+    map are built on first use by ``compress`` or ``decompress``; a scheme
+    asked only for its numbers never lists a sequence.
     """
 
     def __init__(self, model: SourceModel, rate: float):
         # The table's size cap is checked before the rate, so a compress row
         # that fails both reports the cap.
-        mask, prob = _typical_table(model)
+        typical, count, prob = _class_table(model)
         _check.real(rate, "rate")
         if rate * model.block_length < 1.0:
             raise ValueError("rate times block length must be at least 1 bit")
         self.model = model
         self.rate = rate
         self.index_bits = int(math.floor(rate * model.block_length))
-        capacity = (1 << self.index_bits) - 1  # index 0 is reserved
-        size = self.set_size = int(mask.sum())
-        self.set_mass = self.reliability = float(sum(prob[mask].tolist()))
+        self._capacity = capacity = (1 << self.index_bits) - 1  # index 0 is reserved
+        count, prob = count[typical], prob[typical]
+        size = self.set_size = int(count.sum())
+        self.set_mass = self.reliability = math.fsum((count * prob).tolist())
         if size > capacity:
             if rate > model.entropy:
                 raise CapacityError(
                     f"typical set ({size}) exceeds {capacity} indices at rate {rate} > H")
-            # Undersized rate: keep the most probable typical sequences, ties
-            # going to the lexicographically first.
-            typical = np.flatnonzero(mask)
-            kept = typical[np.argsort(-prob[typical], kind="stable")[:capacity]]
-            mask = np.zeros_like(mask)
-            mask[kept] = True
-            self.reliability = sum(prob[mask].tolist())
-        self._mask = mask
+            kept = _most_probable(count, prob, capacity)
+            self.reliability = math.fsum((kept * prob).tolist())
 
     @cached_property
     def included(self) -> list[tuple[int, ...]]:
-        return _sequences(self.model, self._mask)
+        mask, prob = _typical_table(self.model)
+        if self.set_size > self._capacity:
+            # Undersized rate: keep the most probable typical sequences, ties
+            # going to the lexicographically first.
+            typical = np.flatnonzero(mask)
+            kept = typical[np.argsort(-prob[typical], kind="stable")[:self._capacity]]
+            mask = np.zeros_like(mask)
+            mask[kept] = True
+        return _sequences(self.model, mask)
 
     @cached_property
     def _to_index(self) -> dict[tuple[int, ...], int]:
@@ -223,14 +271,19 @@ def shannon_scheme(model: SourceModel, rate: float) -> ShannonScheme:
     return ShannonScheme(model, rate)
 
 
-def _eigen_table(q: QuantumSourceModel) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Eigenvectors of the single-copy state and the typical table of its eigenvalues."""
+def _eigen_source(q: QuantumSourceModel) -> tuple[np.ndarray, SourceModel]:
+    """Eigenvectors of the single-copy state and the classical source of its eigenvalues."""
     if q.rho.dim ** q.block_length > QUANTUM_DIM_CAP:
         raise ValueError("dense quantum block above the dimension cap")
     w, v = eig_hermitian(q.rho.mat)
     w = clamp_spectrum(w)
-    w = w / w.sum()
-    return v, _typical_table(SourceModel(tuple(w), q.block_length, q.epsilon))
+    return v, SourceModel(tuple(w / w.sum()), q.block_length, q.epsilon)
+
+
+def _eigen_table(q: QuantumSourceModel) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Eigenvectors of the single-copy state and the typical table of its eigenvalues."""
+    v, model = _eigen_source(q)
+    return v, _typical_table(model)
 
 
 def typical_subspace_projector(q: QuantumSourceModel) -> np.ndarray:
@@ -241,15 +294,8 @@ def typical_subspace_projector(q: QuantumSourceModel) -> np.ndarray:
     the classical typical mass.
     """
     v, (mask, _) = _eigen_table(q)
-    vn = _kron_power(v, q.block_length)
+    vn = reduce(np.kron, [v] * q.block_length, np.ones((1, 1), dtype=complex))
     return vn @ np.diag(mask.astype(complex)) @ dag(vn)
-
-
-def _kron_power(m: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        out = np.kron(out, m)
-    return out
 
 
 def schumacher_compress(q: QuantumSourceModel, sigma) -> DensityMatrix:
@@ -276,16 +322,17 @@ def schumacher_summary(q: QuantumSourceModel,
 
     F = mass^2 + sum over dropped eigenvector blocks |v_i> of lam_i^2 |<0|v_i>|^2,
     each overlap a product of single-copy ones.  ``max_rank`` optionally keeps
-    the most probable blocks instead, for rate-limited experiments.
+    the most probable blocks instead, for rate-limited experiments.  All three
+    are exact-count sums over the type classes of the eigenvalue source.
     """
-    v, (kept, lam) = _eigen_table(q)
+    v, model = _eigen_source(q)
+    typical, count, lam, overlap = _class_table(model, np.abs(v[0]) ** 2)
+    kept = np.where(typical, count, 0)
     if max_rank is not None:
         _check.integer(max_rank, "max_rank", 0)
-        kept = np.zeros_like(kept)
-        kept[np.argsort(-lam, kind="stable")[:max_rank]] = True
-    mass = float(sum(lam[kept].tolist()))
-    overlap = _kron_power(np.abs(v[:1]) ** 2, q.block_length)[0].real
-    fid = sum((lam[~kept] ** 2 * overlap[~kept]).tolist(), mass ** 2)
+        kept = _most_probable(count, lam, max_rank)
+    mass = math.fsum((kept * lam).tolist())
+    fid = math.fsum([mass ** 2, *((count - kept) * lam ** 2 * overlap).tolist()])
     return int(kept.sum()), mass, fid
 
 

@@ -13,12 +13,17 @@ and sums one inner product per dropped eigenvector block, the form the
 closed-form eigen-table fidelity replaced.  The SciPy restart loop is the HSW
 search as it ran on ``scipy.optimize.minimize``, one restart after another,
 on the library's own unstacked objective; the lock-step search must match it
-bit for bit.
+bit for bit.  The exact compression row sums each composition's count times
+its probability as a ``Fraction`` of the float symbol probabilities, so the
+printed typical mass and reliability can be checked against the correctly
+rounded value rather than against any float summation order.
 """
 
 import itertools
 import json
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -208,3 +213,38 @@ def hsw_estimate_scipy(op, restarts: int, tol: float = 1e-8, seed: int = 0) -> l
         w, vecs = _theta_to_ensemble(best_theta, d)
         estimates.append((best_val, list(zip(w.tolist(), vecs))))
     return estimates
+
+
+def exact_compress_row(probs, n: int, eps: float, rate: float) -> tuple[int, Fraction, Fraction]:
+    """(set size, mass, reliability) of the Shannon scheme, mass and reliability exact.
+
+    A composition is typical when its float surprisal per symbol sits within
+    eps of H; one within 1e-9 of that boundary raises, since float rounding
+    could then decide it.  Each class adds count * prod p_i^c_i in exact
+    rationals of the float probabilities.  When the typical set exceeds the
+    2^floor(rate n) - 1 indices, the reliability takes the most probable
+    classes whole and then part of the next one.
+    """
+    h = -sum(p * math.log2(p) for p in probs if p > 0.0)
+    classes = []
+    for rep in itertools.combinations_with_replacement(range(len(probs)), n):
+        comp = Counter(rep)
+        if any(probs[s] == 0.0 for s in comp):
+            continue
+        gap = abs(sum(c * -math.log2(probs[s]) for s, c in comp.items()) / n - h) - eps
+        if abs(gap) < 1e-9:
+            raise ValueError(f"composition {dict(comp)} sits on the typicality boundary")
+        if gap < 0.0:
+            count = math.factorial(n)
+            for c in comp.values():
+                count //= math.factorial(c)
+            prob = math.prod((Fraction(probs[s]) ** c for s, c in comp.items()), start=Fraction(1))
+            classes.append((count, prob))
+    size = sum(count for count, _ in classes)
+    mass = sum((count * prob for count, prob in classes), Fraction(0))
+    left, reliability = min(size, (1 << math.floor(rate * n)) - 1), Fraction(0)
+    for count, prob in sorted(classes, key=lambda cp: -cp[1]):
+        take = min(count, left)
+        reliability += take * prob
+        left -= take
+    return size, mass, reliability

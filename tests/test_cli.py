@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import json_text
-from qinfo import formats
+from oracles import exact_compress_row, json_text
+from qinfo import cli, formats, typical
 from qinfo.bb84 import ChannelModel, ProtocolConfig, run_batch, run_bb84
 from qinfo.cli import main
 from qinfo.codes import hamming_7_4, repetition_code, steane_css
@@ -251,7 +251,12 @@ class TestCodesCommand:
 
 
 # Captured before the typical-set table replaced the per-sequence loops; the
-# sweep output must stay byte-identical.
+# sweep output must stay byte-identical.  The one exception is the ternary
+# n=11 mass, which the per-sequence left-to-right sum printed as
+# 0.948590821671 on CPython 3.11; 0.94859082167 is the correctly rounded exact
+# sum, which the type-class sums print and CPython 3.12's compensated sum()
+# gave as well.  test_golden_rows_print_the_exact_sums checks every classical
+# row against the exact oracle.
 GOLDEN_COMPRESS = [
     (["--probs", "[0.75,0.25]", "--blocks", "4,8,12", "--eps", "0.3", "--rate", "0.95"],
      "n,epsilon,set_size,typical_mass,reliability\n"
@@ -286,13 +291,60 @@ GOLDEN_COMPRESS = [
     (["--probs", "[0.5,0.3,0.2]", "--blocks", "9,11", "--eps", "0.3", "--rate", "1.75"],
      "n,epsilon,set_size,typical_mass,reliability\n"
      "9,0.3,14254,0.914092728,0.914092728\n"
-     "11,0.3,125379,0.948590821671,0.948590821671\n"),
+     "11,0.3,125379,0.94859082167,0.94859082167\n"),
 ]
 
 
 class TestCompressCommand:
     @pytest.mark.parametrize("args,expected", GOLDEN_COMPRESS)
     def test_golden_sweep(self, args, expected, capsys):
+        assert run_cli(["compress", *args], capsys) == (0, expected)
+
+    @pytest.mark.parametrize("args,expected", [
+        case for case in GOLDEN_COMPRESS if "--quantum" not in case[0]])
+    def test_golden_rows_print_the_exact_sums(self, args, expected):
+        opts = dict(zip(args[::2], args[1::2]))
+        probs, eps, rate = json.loads(opts["--probs"]), float(opts["--eps"]), float(opts["--rate"])
+        for line in expected.splitlines()[1:]:
+            n, _, size, mass, reliability = line.split(",")
+            exact = exact_compress_row(probs, int(n), eps, rate)
+            assert [size, mass, reliability] == [
+                str(exact[0]), formats.fmt(float(exact[1])), formats.fmt(float(exact[2]))]
+
+    @pytest.mark.parametrize("args,expected", [GOLDEN_COMPRESS[1], GOLDEN_COMPRESS[3]],
+                             ids=["classical-trimmed", "quantum"])
+    def test_summary_rows_list_no_sequence(self, args, expected, capsys, monkeypatch):
+        def refuse(model):
+            raise AssertionError("the a^n table was built")
+        monkeypatch.setattr(typical, "_typical_table", refuse)
+        assert run_cli(["compress", *args], capsys) == (0, expected)
+        # the paths that list sequences still build it
+        m = typical.SourceModel((0.75, 0.25), 8, 0.3)
+        with pytest.raises(AssertionError, match="table was built"):
+            typical.shannon_scheme(m, 0.5).included
+        with pytest.raises(AssertionError, match="table was built"):
+            typical.typical_subspace_projector(typical.QuantumSourceModel(
+                np.diag([0.75, 0.25]).astype(complex), 2, 0.3))
+
+    def test_cached_parser_serves_bad_then_good_calls(self, capsys):
+        # one parser serves every call, so a failed parse must leave nothing behind
+        assert cli.build_parser() is cli.build_parser()
+        conflict = ["compress", "--probs", "[0.5,0.5]", "--blocks", "4", "--eps", "0.3",
+                    "--quantum", "--rate", "0.5"]
+        with pytest.raises(SystemExit) as err:
+            main(conflict)
+        captured = capsys.readouterr()
+        assert err.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            "argument --rate: not allowed with argument --quantum")
+        assert main(["compress", "--probs", "[0.5,0.6]", "--blocks", "4", "--eps", "0.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert run_cli(["entropy", "--inline", "[0.5, 0.5]"], capsys) == (
+            0, "shannon_entropy\n1\n")
+        args, expected = GOLDEN_COMPRESS[3]
+        assert run_cli(["compress", *args], capsys) == (0, expected)
+        args, expected = GOLDEN_COMPRESS[0]
         assert run_cli(["compress", *args], capsys) == (0, expected)
 
     def test_classical_sweep(self, capsys):

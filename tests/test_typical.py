@@ -11,7 +11,9 @@ from qinfo.typical import (
     CapacityError,
     QuantumSourceModel,
     SourceModel,
+    ENUMERATION_CAP_BITS,
     _eigen_table,
+    _typical_table,
     is_typical,
     multinomial_count,
     schumacher_compress,
@@ -25,6 +27,16 @@ from qinfo.typical import (
 )
 
 SKEWED = (0.75, 0.25)
+
+
+def within_fsum_bound(got: float, reference: float, n: int) -> bool:
+    """|got - reference| <= n 2^-53 reference: a class sum against its members' fsum.
+
+    The members of one type class multiply the same factors in different
+    orders, so each product may differ from the class's in its last bits; n
+    rounding steps bound that.
+    """
+    return abs(got - reference) <= n * 2.0 ** -53 * reference
 
 
 def diag_source(n: int, eps: float) -> QuantumSourceModel:
@@ -193,19 +205,21 @@ class TestShannonScheme:
         assert r12 < 0.5
         assert r16 < r12
 
-    # Binary (3/4, 1/4) masses are dyadic and sum exactly in any order; the
-    # ternary source pins the left-to-right summation order as well.
+    # Binary (3/4, 1/4) masses are dyadic, so every product and sum is exact;
+    # the ternary products are not, and the bound pins how far they may drift.
     @pytest.mark.parametrize("probs,n,rate", [
         (SKEWED, 8, 0.95), (SKEWED, 8, 0.5), ((0.5, 0.3, 0.2), 7, 1.3),
     ], ids=["sized", "undersized", "ternary-undersized"])
     def test_reliability_is_exact_mass(self, probs, n, rate):
         s = shannon_scheme(SourceModel(probs, n, 0.25), rate)
-        assert s.reliability == sum(sequence_prob(seq, probs) for seq in s.included)
+        member_mass = math.fsum(sequence_prob(seq, probs) for seq in s.included)
+        assert within_fsum_bound(s.reliability, member_mass, n)
 
-    # The scheme sums its table; typical_set and typical_set_mass list and sum
-    # member by member.  Same products, same order, so the two agree exactly on
-    # both rate paths.  The first rate of each pair indexes the whole typical
-    # set; the second trims it in every family from n = 4 on.
+    # The scheme sums count times probability over type classes; typical_set
+    # and typical_set_mass list and sum member by member.  The sizes agree
+    # exactly and the masses within the fsum bound, on both rate paths.  The
+    # first rate of each pair indexes the whole typical set; the second trims
+    # it in every family from n = 4 on.
     @pytest.mark.parametrize("probs,n,eps,rates", [
         pytest.param(probs, n, eps, rates, id=f"{name}-n{n}")
         for name, probs, eps, rates, top in [
@@ -218,10 +232,23 @@ class TestShannonScheme:
         size, mass = len(typical_set(m)), typical_set_mass(m)
         schemes = [shannon_scheme(m, rate) for rate in rates if rate * n >= 1.0]
         for s in schemes:
-            assert s.set_size == size and s.set_mass == mass
-        assert schemes[0].reliability == mass
+            assert s.set_size == size and within_fsum_bound(s.set_mass, mass, n)
+        assert schemes[0].reliability == schemes[0].set_mass
         if n >= 4:
             assert len(schemes[1].included) < size and schemes[1].reliability < mass
+
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    def test_class_sizes_equal_the_table_at_every_n_below_the_cap(self, a, rng):
+        # the full table's flag count is len(typical_set(m)) without listing it
+        n = 1
+        while a ** n < 2 ** ENUMERATION_CAP_BITS:
+            probs = tuple(float(p) for p in rng.dirichlet(np.ones(a)))
+            m = SourceModel(probs, n, float(rng.uniform(0.05, 0.5)))
+            mask, prob = _typical_table(m)
+            s = shannon_scheme(m, math.log2(a) + 1 / n)   # indexes the whole set
+            assert s.set_size == int(mask.sum()), (probs, n)
+            assert within_fsum_bound(s.set_mass, math.fsum(prob[mask].tolist()), n)
+            n += 1
 
     def test_sequence_prob_equals_the_running_product(self, rng):
         for _ in range(5000):
