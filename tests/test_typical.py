@@ -8,10 +8,10 @@ from oracles import block_state, dense_schumacher_fidelity
 from qinfo.qentropy import von_neumann_entropy
 from qinfo.states import DensityMatrix, dag, random_unitary
 from qinfo.typical import (
+    ENUMERATION_CAP_BITS,
     CapacityError,
     QuantumSourceModel,
     SourceModel,
-    ENUMERATION_CAP_BITS,
     _eigen_table,
     _typical_table,
     is_typical,
