@@ -10,7 +10,7 @@ is an exact-count sum over O(n^(a-1)) type classes, not a^n sequences.
 ``typical_subspace_projector`` and ``schumacher_compress`` (d^n capped at 256)
 read one lexicographic table of every sequence; ``typical_set_mass`` sums it
 member by member as the reference for the class sums.  Asymptotic statements
-are therefore checked as monotone trends over small n, never as limits.
+are checked as monotone trends over small n, never as limits.
 """
 
 from __future__ import annotations
