@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     except KeyError as exc:   # a JSON object lacks a required field
         print(f"error: missing field {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, OverflowError, capacity.ConvergenceError) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError, capacity.ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ Conventions fixed once and used everywhere:
   slowest-varying (most significant) index, exactly as ``numpy.kron``,
 * eigenvalues are reported in descending order.
 
-Only ``cyclic_averaging`` uses SciPy (its Schur form), imported on first call.
+NumPy is the only dependency, so ``cyclic_averaging`` diagonalises with it too.
 """
 
 from __future__ import annotations
@@ -427,16 +427,15 @@ def cyclic_averaging(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
 
     For a d x d normal matrix returns ``(unitaries, average)`` with d unitaries
     ``U_i`` such that ``average == sum_i U_i a U_i^dagger == tr(a) * I`` within
-    TOL_RECON.  Each U_i composes the diagonalising unitary with one cyclic
-    permutation of the diagonal.
+    TOL_RECON.  Each U_i composes one cyclic permutation of the diagonal with
+    the diagonalising unitary: the eigenvectors of a, orthonormalised by QR.
+    Eigenspaces of a normal matrix are orthogonal, so QR keeps each in its own.
     """
     a = np.asarray(a, dtype=complex)
     if not is_normal(a):
         raise ValueError("cyclic_averaging requires a normal matrix")
     d = a.shape[0]
-    from scipy.linalg import schur   # here, so that importing qinfo skips SciPy
-    # Schur form of a normal matrix is diagonal: a = z t z^dagger.
-    _, z = schur(a, output="complex")
+    z = np.linalg.qr(np.linalg.eig(a)[1])[0]   # a = z diag z^dagger
     unitaries = [_cyclic_shift(d, i) @ dag(z) for i in range(d)]
     average = np.zeros((d, d), dtype=complex)
     for u in unitaries:

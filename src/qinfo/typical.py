@@ -27,7 +27,7 @@ from . import _check
 from .entropy import shannon_entropy, validate_dist
 from .states import DensityMatrix, as_density, clamp_spectrum, dag, eig_hermitian, ket, outer
 
-ENUMERATION_CAP_BITS = 24   # typical_set enumerates at most 2^24 sequences
+ENUMERATION_CAP_BITS = 24   # max(a, 2)^n <= 2^24: one symbol still takes n steps
 QUANTUM_DIM_CAP = 256       # dense projectors capped at d^n <= 256
 
 
@@ -47,7 +47,7 @@ class SourceModel:
     def alphabet_size(self) -> int:
         return len(self.probs)
 
-    @property
+    @cached_property   # frozen, so computed once; kept out of == and hash
     def entropy(self) -> float:
         return shannon_entropy(np.asarray(self.probs))
 
@@ -101,7 +101,7 @@ def is_typical(seq, model: SourceModel) -> bool:
 
 def _symbol_surprisals(model: SourceModel) -> tuple[np.ndarray, np.ndarray]:
     """Symbol probabilities and surprisals, once the block is within the size cap."""
-    if model.block_length * math.log2(model.alphabet_size) > ENUMERATION_CAP_BITS:
+    if model.block_length * math.log2(max(model.alphabet_size, 2)) > ENUMERATION_CAP_BITS:
         raise ValueError("typical set enumeration above the size cap")
     p = np.asarray(model.probs, dtype=float)
     return p, np.array([(-math.log2(x) if x > 0.0 else math.inf) for x in p])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import exact_compress_row, json_text
-from qinfo import cli, formats, typical
+from qinfo import bb84, cli, codes, formats, typical
 from qinfo.bb84 import ChannelModel, ProtocolConfig, run_batch, run_bb84
 from qinfo.cli import main
 from qinfo.codes import hamming_7_4, repetition_code, steane_css
@@ -347,6 +347,13 @@ class TestCompressCommand:
         args, expected = GOLDEN_COMPRESS[0]
         assert run_cli(["compress", *args], capsys) == (0, expected)
 
+    @pytest.mark.parametrize("quantum", [[], ["--quantum"]], ids=["classical", "quantum"])
+    def test_one_symbol_source_at_the_cap(self, quantum, capsys):
+        header = ("n,epsilon,rank,typical_mass,fidelity" if quantum
+                  else "n,epsilon,set_size,typical_mass,reliability")
+        assert run_cli(["compress", "--probs", "[1]", "--blocks", "1,24", "--eps", "0.3",
+                        *quantum], capsys) == (0, f"{header}\n1,0.3,1,1,1\n24,0.3,1,1,1\n")
+
     def test_classical_sweep(self, capsys):
         code, out = run_cli(["compress", "--probs", "[0.75,0.25]", "--blocks", "4,8",
                              "--eps", "0.3", "--rate", "0.95"], capsys)
@@ -512,6 +519,11 @@ class TestBadInput:
                      id="channel-string"),
         pytest.param(["capacity", "--channel", "{bad}"], {"rows": [[0.9, 0.1], [0.1, "x"]]},
                      "must hold only numbers", id="channel-nested-string"),
+        pytest.param(["compress", "--probs", "[1]", "--blocks", "25", "--eps", "0.3"], None,
+                     "above the size cap", id="compress-one-symbol-over-cap"),
+        pytest.param(["compress", "--probs", "[1]", "--blocks", "25", "--eps", "0.3",
+                      "--quantum"], None, "above the size cap",
+                     id="compress-quantum-one-symbol-over-cap"),
         pytest.param(["capacity", "--channel", "{bad}", "--tol", "0"],
                      {"rows": [[0.89, 0.11], [0.11, 0.89]]}, "best 0.5000840",
                      id="capacity-no-convergence"),
@@ -525,6 +537,24 @@ class TestBadInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
         assert "np." not in lines[0]
+
+    # Raised by a patch, not by a real input: a code file declaring 10^8 columns
+    # allocates 800 MB before its basis runs out of memory.
+    @pytest.mark.parametrize("module,name,argv,payload", [
+        (bb84, "run_batch", QKD, json.dumps(QKD_IDEAL)),
+        (codes, "_nullspace_basis", ["codes", "--code", "{bad}"], "7 0\n"),
+    ], ids=["qkd-batch", "codes-nullspace"])
+    def test_memory_error_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                      module, name, argv, payload):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 36.4 TiB for an array")
+        monkeypatch.setattr(module, name, exhausted)
+        bad = tmp_path / "bad.json"
+        bad.write_text(payload)
+        code = main([a.replace("{bad}", str(bad)) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: Unable to allocate 36.4 TiB for an array\n"
 
     # a fresh `python -m qinfo.cli` process, whose shallow stack still parses
     # JSON nested 980 deep; under pytest's deeper stack json would give up first

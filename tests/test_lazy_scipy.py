@@ -1,10 +1,12 @@
-"""SciPy is loaded only by cyclic averaging.
+"""qinfo runs on NumPy alone: nothing in the package imports SciPy.
 
-Every command, the HSW estimate included, runs without loading it.  The check
-runs in a fresh interpreter, because the test session itself may already have
-imported SciPy.
+SciPy is a test extra, used only as an oracle.  The source check reads every
+module's imports; the run check blocks SciPy in a fresh interpreter, because
+the test session itself may already have imported it, and then runs every
+command, the HSW estimate and cyclic averaging.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -17,10 +19,14 @@ SCRIPT = r"""
 import contextlib, io, json, sys
 from pathlib import Path
 
+sys.modules["scipy"] = None   # any `import scipy...` now raises ImportError
+
 import numpy as np
 
 import qinfo
 from qinfo import cli, codes, formats
+from qinfo.capacity import hsw_capacity_estimate
+from qinfo.states import cyclic_averaging, dag, identity_channel, is_unitary, random_unitary
 
 work = Path(sys.argv[1])
 (work / "rho.json").write_text(json.dumps(formats.matrix_to_json(np.eye(2) / 2)))
@@ -40,35 +46,45 @@ codes_out = []
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         codes_out.append(cli.main(argv))
-before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-from qinfo.capacity import hsw_capacity_estimate
-from qinfo.states import cyclic_averaging, identity_channel
 
 chi, ensemble = hsw_capacity_estimate(identity_channel(2), restarts=0)
-after_hsw = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-a = np.diag([1.0, 2.0, 0.5]).astype(complex)
+# a degenerate normal matrix: eigenvalue 1 twice, then i
+u = random_unitary(3, np.random.default_rng(5))
+a = u @ np.diag([1.0, 1.0, 1j]) @ dag(u)
 unitaries, average = cyclic_averaging(a)
 print(json.dumps({
-    "exit_codes": codes_out, "scipy_before": before, "scipy_after_hsw": after_hsw,
-    "chi": chi, "members": len(ensemble),
+    "exit_codes": codes_out, "chi": chi, "members": len(ensemble),
     "average_error": float(np.max(np.abs(average - np.trace(a) * np.eye(3)))),
-    "unitaries": len(unitaries), "scipy_after": "scipy" in sys.modules,
+    "unitaries": len(unitaries), "all_unitary": all(is_unitary(x) for x in unitaries),
+    "scipy_loaded": sorted(m for m, mod in sys.modules.items()
+                           if (m == "scipy" or m.startswith("scipy.")) and mod is not None),
 }))
 """
 
 
-def test_non_hsw_commands_load_no_scipy(tmp_path):
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted((SRC / "qinfo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert found == []
+
+
+def test_every_path_runs_with_scipy_blocked(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["exit_codes"] == [0] * 7
-    assert result["scipy_before"] == []
-    # the HSW estimate runs its own simplex search, without SciPy
     assert abs(result["chi"] - 1.0) < 1e-6 and result["members"] == 4
-    assert result["scipy_after_hsw"] == []
-    # cyclic averaging, the one SciPy user, still works once asked for
     assert result["average_error"] < 1e-7 and result["unitaries"] == 3
-    assert result["scipy_after"]
+    assert result["all_unitary"]
+    assert result["scipy_loaded"] == []

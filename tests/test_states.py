@@ -350,6 +350,29 @@ class TestCyclicAveraging:
         with pytest.raises(ValueError):
             cyclic_averaging(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @staticmethod
+    def spectrum(kind: str, d: int, rng) -> np.ndarray:
+        z = rng.normal(size=d) + 1j * rng.normal(size=d)
+        if kind == "repeated":     # exactly equal eigenvalues, drawn from a few
+            return rng.choice(z[:rng.integers(1, d)], size=d)
+        if kind == "cluster":      # all within 1e-14 ... 1e-4 of one point
+            gaps = 10.0 ** rng.uniform(-14, -4, size=d)
+            return z[0] + gaps * np.exp(2j * np.pi * rng.uniform(size=d))
+        if kind == "hermitian":    # real, with repeats
+            return rng.choice(np.round(rng.normal(size=d), 1), size=d).astype(complex)
+        return z
+
+    @pytest.mark.parametrize("kind", ["generic", "repeated", "cluster", "hermitian"])
+    def test_eigenvectors_by_qr_diagonalise_degenerate_spectra(self, kind, rng):
+        for _ in range(300):
+            d = int(rng.integers(2, 9))
+            u = random_unitary(d, rng)
+            a = u @ np.diag(self.spectrum(kind, d, rng)) @ dag(u)
+            us, avg = cyclic_averaging(a)
+            assert len(us) == d
+            assert np.max(np.abs(avg - np.trace(a) * np.eye(d))) <= 1e-12
+            assert max(np.max(np.abs(x @ dag(x) - np.eye(d))) for x in us) <= 1e-12
+
 
 class TestProjectorMixture:
     def test_full_projector(self):

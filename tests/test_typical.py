@@ -135,6 +135,27 @@ class TestTypicalSet:
         with pytest.raises(ValueError):
             typical_set(SourceModel((0.5, 0.5), 30, 0.1))
 
+    def test_one_symbol_source_is_capped_like_two(self):
+        n = ENUMERATION_CAP_BITS
+        one = DensityMatrix(np.ones((1, 1)))
+        assert typical_set(SourceModel((1.0,), n, 0.3)) == [(0,) * n]
+        assert shannon_scheme(SourceModel((1.0,), n, 0.3), 1.0).set_size == 1
+        assert schumacher_summary(QuantumSourceModel(one, n, 0.3)) == (1, 1.0, 1.0)
+        assert typical_subspace_projector(QuantumSourceModel(one, n, 0.3)).tolist() == [[1]]
+        over = SourceModel((1.0,), n + 1, 0.3)
+        for build in (typical_set, lambda m: shannon_scheme(m, 1.0)):
+            with pytest.raises(ValueError, match="above the size cap"):
+                build(over)
+        for build in (schumacher_summary, typical_subspace_projector):
+            with pytest.raises(ValueError, match="above the size cap"):
+                build(QuantumSourceModel(one, n + 1, 0.3))
+
+    def test_entropy_is_computed_once_and_stays_out_of_equality(self):
+        m = SourceModel((0.5, 0.25, 0.25), 4, 0.3)
+        assert m.entropy is m.entropy and m.entropy == 1.5
+        fresh = SourceModel((0.5, 0.25, 0.25), 4, 0.3)
+        assert m == fresh and hash(m) == hash(fresh)
+
 
 class TestMultinomialCount:
     def test_exact_binomial_at_n4(self):
