@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import reprlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,23 +182,6 @@ def _p0_table(ch: ChannelModel) -> np.ndarray:
     return table
 
 
-def _draw(p0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    return (rng.random(p0.size) >= p0).astype(np.uint8)
-
-
-def _transport(states: np.ndarray, bases: np.ndarray, ch: ChannelModel, seed: int):
-    """Transport signal-state indices; returns (p0 in the given bases, Eve's fields)."""
-    table = _p0_table(ch)
-    if ch.kind != "intercept_resend":
-        return table[states, bases], {}
-    count = states.size
-    mask = stream(seed, "eve-mask").random(count) < ch.param
-    eve_bases = stream(seed, "eve-bases").integers(0, 2, count).astype(np.uint8)
-    eve_bits = _draw(table[states, eve_bases], stream(seed, "eve-measure"))
-    states = np.where(mask, 2 * eve_bases + eve_bits, states)
-    return table[states, bases], dict(eve_mask=mask, eve_bases=eve_bases, eve_bits=eve_bits)
-
-
 def reconcile_and_amplify(code: CssCode, x_alice: np.ndarray, x_bob: np.ndarray,
                           v: np.ndarray):
     """One reconciliation + privacy amplification block.
@@ -233,63 +216,80 @@ def _reconcile_blocks(code: CssCode, x_alice: np.ndarray, x_bob: np.ndarray,
     return keys[:len(v)], keys[len(v):], success, offsets
 
 
-def run_bb84(cfg: ProtocolConfig, ch: ChannelModel) -> ProtocolTranscript:
-    """Execute one complete protocol run.
+_CHUNK = 256   # trials per stack: temporaries stay a few MB at any batch size
 
-    Steps: random bits and bases, basis encoding, transport, random-basis
-    measurement, basis announcement and sifting (abort below 2n survivors),
-    random selection of n check bits (abort above the disagreement
-    threshold), then codeword announcement, C1 decoding and coset key
-    extraction for all blocks in one stacked pass.
-    """
-    seed = cfg.master_seed
-    n, total = cfg.n, cfg.qubits_sent
-    code = cfg.code
 
-    alice_bits = stream(seed, "alice-bits").integers(0, 2, total).astype(np.uint8)
-    alice_bases = stream(seed, "alice-bases").integers(0, 2, total).astype(np.uint8)
-    bob_bases = stream(seed, "bob-bases").integers(0, 2, total).astype(np.uint8)
+def _run_trials(cfg: ProtocolConfig, ch: ChannelModel, seeds: list) -> list[ProtocolTranscript]:
+    """One protocol run per master seed, on stacks of at most _CHUNK trials."""
+    if len(seeds) > _CHUNK:
+        return [t for at in range(0, len(seeds), _CHUNK)
+                for t in _run_trials(cfg, ch, seeds[at:at + _CHUNK])]
+    n, total, code, table = cfg.n, cfg.qubits_sent, cfg.code, _p0_table(ch)
+    n_blocks, every = n // code.n, range(len(seeds))
 
-    p0, eve = _transport(2 * alice_bases + alice_bits, bob_bases, ch, seed)
-    bob_bits = _draw(p0, stream(seed, "bob-measure"))
+    def draw(label, make=lambda rng, i: rng.integers(0, 2, total), trials=every, width=total):
+        out = np.empty((len(trials), width), np.uint8)   # row j from stream label of trials[j]
+        for row, i in enumerate(trials):
+            out[row] = make(stream(seeds[i], label), i)
+        return out
+
+    def measure(label, states, bases):   # floats stay one row long
+        return draw(label, lambda rng, i: rng.random(total) >= table[states[i], bases[i]])
+
+    alice_bits, alice_bases, bob_bases = map(draw, ("alice-bits", "alice-bases", "bob-bases"))
+    states, eve = 2 * alice_bases + alice_bits, {}
+    if ch.kind == "intercept_resend":
+        mask = draw("eve-mask", lambda rng, i: rng.random(total) < ch.param).view(bool)
+        eve_bases = draw("eve-bases")
+        eve_bits = measure("eve-measure", states, eve_bases)
+        states = np.where(mask, 2 * eve_bases + eve_bits, states)
+        eve = dict(eve_mask=mask, eve_bases=eve_bases, eve_bits=eve_bits)
+    bob_bits = measure("bob-measure", states, bob_bases)
 
     sift_mask = alice_bases == bob_bases
-    sifted = np.nonzero(sift_mask)[0]
-    run = dict(config_seed=seed, alice_bits=alice_bits, alice_bases=alice_bases,
-               bob_bases=bob_bases, bob_bits=bob_bits, sift_mask=sift_mask, **eve)
+    enough = sift_mask.sum(axis=1) >= 2 * n
+    chosen = np.zeros((len(seeds), 2, n), np.intp)   # check, keep; zero where sifting aborts
+    for i in np.flatnonzero(enough):
+        sifted = np.flatnonzero(sift_mask[i])
+        chosen[i].flat = sifted[stream(seeds[i], "selection").permutation(sifted.size)[:2 * n]]
+    chosen.sort(axis=2)
+    disagreements = np.take_along_axis(alice_bits != bob_bits, chosen[:, 0], 1).sum(axis=1)
+    good = np.flatnonzero(enough & (disagreements <= cfg.threshold))
+    msgs = draw("codewords", lambda rng, i: rng.integers(0, 2, n_blocks * code.c1.k), good,
+                n_blocks * code.c1.k).reshape(-1, code.c1.k)
+    kept = chosen[good, 1, :n_blocks * code.n]
+    x_alice, x_bob = (np.take_along_axis(x[good], kept, 1) for x in (alice_bits, bob_bits))
+    blocks = (a.reshape(good.size, n_blocks, *a.shape[1:]) for a in _reconcile_blocks(
+        code, x_alice.reshape(-1, code.n), x_bob.reshape(-1, code.n), msgs))
 
-    if sifted.size < 2 * n:
-        return ProtocolTranscript(aborted=True, abort_reason="sifting left fewer than 2n bits",
-                                  **run)
+    runs = [dict(config_seed=seed, alice_bits=alice_bits[i], alice_bases=alice_bases[i],
+                 bob_bases=bob_bases[i], bob_bits=bob_bits[i], sift_mask=sift_mask[i],
+                 **{name: rows[i] for name, rows in eve.items()}) for i, seed in enumerate(seeds)]
+    for i, d in zip(np.flatnonzero(enough), disagreements[enough].tolist()):
+        runs[i].update(check_indices=chosen[i, 0], keep_indices=chosen[i, 1], disagreements=d,
+                       qber_estimate=d / n)
+    for i in np.flatnonzero(~enough | (disagreements > cfg.threshold)):
+        runs[i].update(aborted=True, abort_reason="check-bit disagreements above threshold"
+                       if enough[i] else "sifting left fewer than 2n bits")
+    for i, key_a, key_b, success, offset in zip(good, *blocks):
+        runs[i].update(announced_offset=offset.ravel(), alice_key=key_a.ravel(),
+                       bob_key=key_b.ravel(), block_success=success)
+    return [ProtocolTranscript(**run) for run in runs]
 
-    perm = stream(seed, "selection").permutation(sifted.size)
-    chosen = sifted[perm[:2 * n]]
-    check_idx, keep_idx = np.sort(chosen[:n]), np.sort(chosen[n:])
-    disagreements = int(np.sum(alice_bits[check_idx] != bob_bits[check_idx]))
-    run.update(check_indices=check_idx, keep_indices=keep_idx,
-               disagreements=disagreements, qber_estimate=disagreements / n)
 
-    if disagreements > cfg.threshold:
-        return ProtocolTranscript(aborted=True,
-                                  abort_reason="check-bit disagreements above threshold", **run)
-
-    n_blocks = n // code.n
-    msgs = stream(seed, "codewords").integers(0, 2, (n_blocks, code.c1.k)).astype(np.uint8)
-    kept = keep_idx[:n_blocks * code.n]
-    keys_a, keys_b, success, offsets = _reconcile_blocks(
-        code, alice_bits[kept].reshape(n_blocks, code.n),
-        bob_bits[kept].reshape(n_blocks, code.n), msgs)
-    return ProtocolTranscript(announced_offset=offsets.ravel(), alice_key=keys_a.ravel(),
-                              bob_key=keys_b.ravel(), block_success=success, **run)
+def run_bb84(cfg: ProtocolConfig, ch: ChannelModel) -> ProtocolTranscript:
+    """Execute one complete protocol run: the batch core on cfg.master_seed alone."""
+    return _run_trials(cfg, ch, [cfg.master_seed])[0]
 
 
 def run_batch(cfg: ProtocolConfig, ch: ChannelModel, trials: int) -> list[ProtocolTranscript]:
-    """Independent protocol runs with per-trial seeds derived from the master."""
-    out = []
-    for i in range(_check.integer(trials, "trials", 0)):
-        trial_seed = int(stream(cfg.master_seed, "trial", str(i)).integers(0, 2 ** 62))
-        out.append(run_bb84(replace(cfg, master_seed=trial_seed), ch))
-    return out
+    """Independent protocol runs with per-trial seeds derived from the master.
+
+    Trial i is run_bb84 under the seed from stream ("trial", i); all run as stacks.
+    """
+    seeds = [int(stream(cfg.master_seed, "trial", str(i)).integers(0, 2 ** 62))
+             for i in range(_check.integer(trials, "trials", 0))]
+    return _run_trials(cfg, ch, seeds)
 
 
 def privacy_lower_bound(rho, op) -> float:

@@ -134,8 +134,19 @@ def _mix(probs: np.ndarray, mats) -> np.ndarray:
 def _holevo(probs: np.ndarray, mats: np.ndarray):
     """chi of trusted member density matrices stacked as (m, d, d).
 
-    The (m+1, d) spectrum stack of the mixture and the members is clamped
-    once, and ``chi - p * S`` runs in member order.  The result is
+    One eigvalsh covers the mixture and the members, clamped once for _chi.
+    With one leading stack axis, ``probs`` (K, m) and ``mats`` (K, m, d, d)
+    give K values, each bit-identical to its own unstacked call, since every
+    step is elementwise or per matrix.  One ensemble gives a numpy float.
+    """
+    return _chi(probs, clamp_spectrum(np.linalg.eigvalsh(
+        np.concatenate((_mix(probs, mats)[..., None, :, :], mats), axis=-3))[..., ::-1]))
+
+
+def _chi(probs: np.ndarray, spectra: np.ndarray):
+    """chi from the clamped, descending (m+1, d) spectra of the mixture and the members.
+
+    ``chi - p * S`` runs in member order.  The result is
     bit-identical to taking ``_neg_sum_plogp`` of each clamped, descending
     row and skipping ``p == 0``.  A descending clamped row keeps its zeros at
     the end, and numpy sums a row of fewer than 8 entries in sequence, so the
@@ -144,14 +155,9 @@ def _holevo(probs: np.ndarray, mats: np.ndarray):
     where the inserted zeros would move the block boundaries, so those keep
     the per-row sum.  A zero weight times a finite entropy is a signed zero,
     and subtracting it leaves chi unchanged: chi starts as ``0.0 - sum``,
-    which is never -0.0, and ``x - y`` is -0.0 only when ``x`` is.
-
-    With one leading stack axis, ``probs`` (K, m) and ``mats`` (K, m, d, d)
-    give K values, each bit-identical to its own unstacked call, since every
-    step is elementwise or per matrix.  One ensemble gives a numpy float.
+    which is never -0.0, and ``x - y`` is -0.0 only when ``x`` is.  A
+    leading stack axis on ``probs`` and ``spectra`` is carried through.
     """
-    spectra = clamp_spectrum(np.linalg.eigvalsh(
-        np.concatenate((_mix(probs, mats)[..., None, :, :], mats), axis=-3))[..., ::-1])
     if spectra.shape[-1] < 8:
         terms = spectra * np.log2(np.where(spectra > 0.0, spectra, 1.0))
         entropies = 0.0 - np.sum(terms, axis=-1)
@@ -175,7 +181,9 @@ def holevo_chi(ensemble: Ensemble) -> float:
     information extractable from the ensemble by any measurement.
     """
     probs, states = _validate_ensemble(ensemble)
-    return float(_holevo(probs, np.stack([s.mat for s in states])))
+    # each member's cached spectrum equals its row of a stacked eigvalsh bit for bit
+    mix = np.linalg.eigvalsh(_mix(probs, np.stack([s.mat for s in states])))[::-1]
+    return float(_chi(probs, np.stack([clamp_spectrum(mix)] + [s.eigenvalues() for s in states])))
 
 
 def entropy_exchange(rho, op: QuantumChannel) -> float:

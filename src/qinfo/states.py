@@ -430,6 +430,8 @@ def cyclic_averaging(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     TOL_RECON.  Each U_i composes one cyclic permutation of the diagonal with
     the diagonalising unitary: the eigenvectors of a, orthonormalised by QR.
     Eigenspaces of a normal matrix are orthogonal, so QR keeps each in its own.
+    The commutator test passes some nearly normal matrices, so the average
+    itself is checked too: ValueError when it misses tr(a) I by more.
     """
     a = np.asarray(a, dtype=complex)
     if not is_normal(a):
@@ -440,6 +442,10 @@ def cyclic_averaging(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     average = np.zeros((d, d), dtype=complex)
     for u in unitaries:
         average += u @ a @ dag(u)
+    miss = float(np.max(np.abs(average - np.trace(a) * np.eye(d))))
+    if miss > TOL_RECON:
+        raise ValueError(f"cyclic_averaging requires a normal matrix: the average misses "
+                         f"tr(a) I by {miss:.3g}")
     return unitaries, average
 
 

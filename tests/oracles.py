@@ -16,7 +16,10 @@ on the library's own unstacked objective; the lock-step search must match it
 bit for bit.  The exact compression row sums each composition's count times
 its probability as a ``Fraction`` of the float symbol probabilities, so the
 printed typical mass and reliability can be checked against the correctly
-rounded value rather than against any float summation order.
+rounded value rather than against any float summation order.  The
+single-trial BB84 run takes one trial at a time, one array per field, with
+its own transport and sifting; every transcript of the stacked batch must
+equal it field for field.
 """
 
 import itertools
@@ -26,6 +29,9 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+
+from qinfo.bb84 import ProtocolTranscript, _p0_table, _reconcile_blocks
+from qinfo.rng import stream
 
 
 def holevo_per_member(probs: np.ndarray, mats: np.ndarray) -> float:
@@ -248,3 +254,70 @@ def exact_compress_row(probs, n: int, eps: float, rate: float) -> tuple[int, Fra
         reliability += take * prob
         left -= take
     return size, mass, reliability
+
+
+def _draw(p0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return (rng.random(p0.size) >= p0).astype(np.uint8)
+
+
+def bb84_transport(states: np.ndarray, bases: np.ndarray, ch, seed: int):
+    """Transport signal-state indices; returns (p0 in the given bases, Eve's fields)."""
+    table = _p0_table(ch)
+    if ch.kind != "intercept_resend":
+        return table[states, bases], {}
+    count = states.size
+    mask = stream(seed, "eve-mask").random(count) < ch.param
+    eve_bases = stream(seed, "eve-bases").integers(0, 2, count).astype(np.uint8)
+    eve_bits = _draw(table[states, eve_bases], stream(seed, "eve-measure"))
+    states = np.where(mask, 2 * eve_bases + eve_bits, states)
+    return table[states, bases], dict(eve_mask=mask, eve_bases=eve_bases, eve_bits=eve_bits)
+
+
+def run_bb84(cfg, ch) -> ProtocolTranscript:
+    """One complete protocol run under cfg.master_seed, one trial on its own.
+
+    Steps: random bits and bases, basis encoding, transport, random-basis
+    measurement, basis announcement and sifting (abort below 2n survivors),
+    random selection of n check bits (abort above the disagreement
+    threshold), then codeword announcement, C1 decoding and coset key
+    extraction for all blocks in one stacked pass.
+    """
+    seed = cfg.master_seed
+    n, total = cfg.n, cfg.qubits_sent
+    code = cfg.code
+
+    alice_bits = stream(seed, "alice-bits").integers(0, 2, total).astype(np.uint8)
+    alice_bases = stream(seed, "alice-bases").integers(0, 2, total).astype(np.uint8)
+    bob_bases = stream(seed, "bob-bases").integers(0, 2, total).astype(np.uint8)
+
+    p0, eve = bb84_transport(2 * alice_bases + alice_bits, bob_bases, ch, seed)
+    bob_bits = _draw(p0, stream(seed, "bob-measure"))
+
+    sift_mask = alice_bases == bob_bases
+    sifted = np.nonzero(sift_mask)[0]
+    run = dict(config_seed=seed, alice_bits=alice_bits, alice_bases=alice_bases,
+               bob_bases=bob_bases, bob_bits=bob_bits, sift_mask=sift_mask, **eve)
+
+    if sifted.size < 2 * n:
+        return ProtocolTranscript(aborted=True, abort_reason="sifting left fewer than 2n bits",
+                                  **run)
+
+    perm = stream(seed, "selection").permutation(sifted.size)
+    chosen = sifted[perm[:2 * n]]
+    check_idx, keep_idx = np.sort(chosen[:n]), np.sort(chosen[n:])
+    disagreements = int(np.sum(alice_bits[check_idx] != bob_bits[check_idx]))
+    run.update(check_indices=check_idx, keep_indices=keep_idx,
+               disagreements=disagreements, qber_estimate=disagreements / n)
+
+    if disagreements > cfg.threshold:
+        return ProtocolTranscript(aborted=True,
+                                  abort_reason="check-bit disagreements above threshold", **run)
+
+    n_blocks = n // code.n
+    msgs = stream(seed, "codewords").integers(0, 2, (n_blocks, code.c1.k)).astype(np.uint8)
+    kept = keep_idx[:n_blocks * code.n]
+    keys_a, keys_b, success, offsets = _reconcile_blocks(
+        code, alice_bits[kept].reshape(n_blocks, code.n),
+        bob_bits[kept].reshape(n_blocks, code.n), msgs)
+    return ProtocolTranscript(announced_offset=offsets.ravel(), alice_key=keys_a.ravel(),
+                              bob_key=keys_b.ravel(), block_success=success, **run)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from qinfo.bb84 import (
     ProtocolConfig,
     _born_p0,
     _reconcile_blocks,
-    _transport,
     bb84_state,
     eve_holevo_bound,
     eve_information_estimate,
@@ -45,6 +45,7 @@ from qinfo.states import (
     apply_channel,
 )
 
+import oracles
 from oracles import w_matrix_entropy
 
 STEANE = steane_css()
@@ -357,7 +358,7 @@ class TestIndexTransportMatchesDensityMatrices:
     def test_bit_for_bit(self, kind, param, count):
         bits, bases, meas = stream(count, "transport").integers(0, 2, (3, count)).astype(np.uint8)
         ch = ChannelModel(kind, param)
-        p0, eve = _transport(2 * bases + bits, meas, ch, 5)
+        p0, eve = oracles.bb84_transport(2 * bases + bits, meas, ch, 5)
         ref_p0, ref_eve = density_matrix_transport(bits, bases, meas, ch, 5)
         assert p0.tobytes() == ref_p0.tobytes()
         assert eve.keys() == ref_eve.keys()
@@ -389,6 +390,107 @@ class TestNoUnusedWork:
         labels.clear()
         assert not run_bb84(config(), ChannelModel("ideal")).aborted
         assert labels.count(("codewords",)) == 1
+
+
+def trial_seeds(cfg, trials):
+    """run_batch's per-trial master seeds: trial i's is drawn from stream ("trial", i)."""
+    return [int(stream(cfg.master_seed, "trial", str(i)).integers(0, 2 ** 62))
+            for i in range(trials)]
+
+
+def assert_same_transcript(got, want):
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), f.name
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        else:
+            assert (type(a), repr(a)) == (type(b), repr(b)), f.name
+
+
+# (n, delta, threshold, kind, param): delta 0 gives sifting aborts, a low
+# threshold check aborts, and the rest reconcile, some with failed blocks
+ORACLE_CASES = {
+    "ideal-sift": (32, 0.0, 3, "ideal", 0.0),
+    "depolarizing": (64, 1.0, 7, "depolarizing", 0.1),
+    "depolarizing-check": (64, 0.0, 3, "depolarizing", 0.25),
+    "eve": (64, 0.0, 7, "intercept_resend", 0.3),
+}
+
+
+def oracle_config(case, seed=17):
+    n, delta, threshold, _, _ = ORACLE_CASES[case]
+    return ProtocolConfig(n=n, delta=delta, threshold=threshold, code=STEANE, master_seed=seed)
+
+
+def oracle_channel(case):
+    return ChannelModel(*ORACLE_CASES[case][3:])
+
+
+class TestStackedCoreMatchesSingleTrialOracle:
+    # 300 trials cross the 256-trial chunk boundary
+    @pytest.mark.parametrize("trials", [0, 1, 300])
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_run_batch_field_for_field(self, case, trials):
+        cfg, ch = oracle_config(case), oracle_channel(case)
+        batch = run_batch(cfg, ch, trials)
+        assert len(batch) == trials
+        for t, seed in zip(batch, trial_seeds(cfg, trials)):
+            want = oracles.run_bb84(dataclasses.replace(cfg, master_seed=seed), ch)
+            assert_same_transcript(t, want)
+
+    def test_cases_cover_every_outcome(self):
+        reasons, failed_blocks = Counter(), 0
+        for case in ORACLE_CASES:
+            for t in run_batch(oracle_config(case), oracle_channel(case), 300):
+                reasons[t.abort_reason and t.abort_reason.split()[0]] += 1
+                failed_blocks += int(np.sum(~t.block_success))
+        assert reasons.keys() == {None, "sifting", "check-bit"}
+        assert failed_blocks > 0
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    @pytest.mark.parametrize("seed", [0, 5, np.int64(9)])
+    def test_run_bb84_field_for_field(self, case, seed):
+        cfg, ch = oracle_config(case, seed), oracle_channel(case)
+        assert_same_transcript(run_bb84(cfg, ch), oracles.run_bb84(cfg, ch))
+
+    def test_writing_one_transcript_changes_no_other(self):
+        batch = run_batch(oracle_config("eve"), oracle_channel("eve"), 12)
+
+        def arrays(t):
+            return [getattr(t, f.name) for f in dataclasses.fields(t)
+                    if isinstance(getattr(t, f.name), np.ndarray)]
+
+        for j, t in enumerate(batch):
+            before = [[a.tobytes() for a in arrays(u)] for u in batch]
+            for a in arrays(t):
+                a.view(np.uint8)[...] ^= 1
+            for k, u in enumerate(batch):
+                after = [a.tobytes() for a in arrays(u)]
+                if k == j:
+                    assert all(x != y for x, y in zip(before[k], after) if x)
+                else:
+                    assert after == before[k]
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_batch_draws_the_oracle_streams_once_per_trial(self, monkeypatch, case):
+        def recorder(counts, real):
+            def recording_stream(seed, *names):
+                counts[seed, names] += 1
+                return real(seed, *names)
+            return recording_stream
+
+        cfg, ch = oracle_config(case), oracle_channel(case)
+        drawn, expected = Counter(), Counter((cfg.master_seed, ("trial", str(i)))
+                                             for i in range(300))
+        monkeypatch.setattr(bb84, "stream", recorder(drawn, stream))
+        monkeypatch.setattr(oracles, "stream", recorder(expected, stream))
+        run_batch(cfg, ch, 300)
+        for seed in trial_seeds(cfg, 300):
+            oracles.run_bb84(dataclasses.replace(cfg, master_seed=seed), ch)
+        assert drawn == expected
+        assert set(drawn.values()) == {1}
+
 
 # sha256 of formats.dump_json over four run_batch transcripts, Steane code,
 # threshold round(0.11 n).  n=64 runs at delta=0, so sifting aborts occur;

@@ -8,6 +8,7 @@ from qinfo.entropy import (
 )
 from qinfo.qentropy import (
     _holevo,
+    _mix,
     classical_quantum_state,
     coherent_information,
     ensemble_average_fidelity,
@@ -33,6 +34,7 @@ from qinfo.states import (
     DensityMatrix,
     QuantumChannel,
     apply_unitary,
+    clamp_spectrum,
     depolarizing_channel,
     identity_channel,
     measure,
@@ -235,6 +237,25 @@ class TestHolevo:
             assert _holevo(probs, mats).hex() == want.hex()
             ens = [(p, DensityMatrix(x)) for p, x in zip(probs, mats)]
             assert holevo_chi(ens).hex() == want.hex()
+
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 9, 16])
+    def test_cached_member_spectra_equal_the_stacked_eigvalsh(self, d, rng):
+        # holevo_chi reads each member's cached spectrum in place of its row of
+        # the stacked eigvalsh that _holevo takes; the two must agree bit for bit
+        for _ in range(40):
+            m = int(rng.integers(1, 9))
+            members = [random_density_matrix(d, rng, rank=int(rng.integers(1, d + 1)))
+                       if rng.random() < 0.7 else DensityMatrix.pure(random_pure_state(d, rng))
+                       for _ in range(m)]
+            probs = validate_dist(rng.dirichlet(np.ones(m)))
+            mats = np.stack([s.mat for s in members])
+            stacked = clamp_spectrum(np.linalg.eigvalsh(
+                np.concatenate((_mix(probs, mats)[None], mats)))[:, ::-1])
+            for s, row in zip(members, stacked[1:]):
+                assert s.eigenvalues().tobytes() == row.tobytes()
+            ens = [(p, s) for p, s in zip(probs, members)]
+            assert holevo_chi(ens).hex() == float(_holevo(probs, mats)).hex()
 
 
 class TestClassicalQuantumState:

@@ -1,0 +1,91 @@
+"""The named-stream contract: every call is a fresh Philox generator under a sha256 key."""
+
+import hashlib
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qinfo import rng
+from qinfo.rng import stream
+
+
+def keyed(master_seed, *labels) -> np.random.Generator:
+    """The stream as np.random.Philox(key=...) builds it, with its unused SeedSequence."""
+    tag = ":".join(str(part) for part in labels)
+    digest = hashlib.sha256(f"{master_seed}|{tag}".encode()).digest()
+    return np.random.Generator(np.random.Philox(key=np.frombuffer(digest[:16], dtype=np.uint64)))
+
+
+SEEDS = ([0, 1, -1, 42, 2 ** 62 - 1, -(2 ** 63), 2 ** 80, 20240811]
+         + [int(s) for s in np.random.Generator(np.random.Philox(key=[1, 2])).integers(
+             0, 2 ** 62, 32)]
+         + [np.int64(5), np.int64(-7), np.int32(11), np.uint64(2 ** 63 + 1), np.int8(9),
+            np.uint8(200), np.int16(-300), np.intp(2 ** 40)])
+LABELS = [(), ("alice-bits",), ("alice-bases",), ("bob-measure",), ("eve-mask",),
+          ("codewords",), ("trial", "17"), ("trial", 17), ("hsw-restart-3",),
+          ("a", "b", "c"), ("", ""), ("tests",)]
+
+
+class TestStreamMatchesKeyedPhilox:
+    def test_state_and_draws_are_identical(self):
+        pairs = list(itertools.product(SEEDS, LABELS))
+        assert len(pairs) >= 500
+        for seed, labels in pairs:
+            got, want = stream(seed, *labels), keyed(seed, *labels)
+            np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)
+            for draw in (lambda g: g.integers(0, 2, 257), lambda g: g.integers(0, 2 ** 62),
+                         lambda g: g.integers(0, 2, (3, 5)), lambda g: g.random(33),
+                         lambda g: g.permutation(41), lambda g: g.normal(size=4)):
+                a, b = draw(got), draw(want)
+                assert np.asarray(a).dtype == np.asarray(b).dtype
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (seed, labels)
+            np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)
+
+    def test_each_call_is_a_fresh_independent_generator(self):
+        a, b = stream(3, "x"), stream(3, "x")
+        assert a is not b and a.bit_generator is not b.bit_generator
+        first = a.random(10)
+        assert b.random(10).tobytes() == first.tobytes()
+        assert stream(3, "x").random(10).tobytes() == first.tobytes()
+
+    def test_no_seed_sequence_is_built(self):
+        # the key stands in as the seed sequence, so no OS entropy is drawn
+        assert isinstance(stream(3, "x").bit_generator.seed_seq, rng._key_type())
+
+
+class TestKeyRequests:
+    KEY = np.array([7, 9], dtype=np.uint64)
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.dtype(np.uint64), "uint64"])
+    def test_two_uint64_words_return_the_key(self, dtype):
+        assert rng._key_type()(self.KEY).generate_state(2, dtype).tobytes() == self.KEY.tobytes()
+
+    @pytest.mark.parametrize("n_words,dtype", [
+        (1, np.uint64), (3, np.uint64), (4, np.uint64), (0, np.uint64),
+        (2, np.uint32), (4, np.uint32), (2, np.int64), (2, np.float64),
+    ])
+    def test_any_other_request_raises(self, n_words, dtype):
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            rng._key_type()(self.KEY).generate_state(n_words, dtype)
+
+    def test_default_dtype_request_raises(self):
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            rng._key_type()(self.KEY).generate_state(2)
+
+
+def test_importing_qinfo_leaves_numpy_random_unloaded():
+    # the key type is built on the first stream, so set-up does not pay for
+    # numpy.random (about 10 ms) before anything draws
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import sys, qinfo.bb84, qinfo.capacity, qinfo.cli, qinfo.typical; "
+              "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

@@ -20,6 +20,7 @@ from qinfo.states import (
     depolarizing_channel,
     eig_hermitian,
     identity_channel,
+    is_normal,
     is_unitary,
     measure,
     outer,
@@ -349,6 +350,15 @@ class TestCyclicAveraging:
     def test_rejects_non_normal(self):
         with pytest.raises(ValueError):
             cyclic_averaging(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("eps", [3e-5, 1e-5, 2e-7])
+    def test_rejects_nearly_normal_input_whose_average_misses(self, eps):
+        # the commutator of [[0, eps], [0, 0]] is eps^2, inside is_normal's
+        # 1e-9, but the average misses tr(a) I = 0 by eps
+        a = np.array([[0, eps], [0, 0]], dtype=complex)
+        assert is_normal(a)
+        with pytest.raises(ValueError, match="misses tr"):
+            cyclic_averaging(a)
 
     @staticmethod
     def spectrum(kind: str, d: int, rng) -> np.ndarray:
