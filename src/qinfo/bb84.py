@@ -38,6 +38,7 @@ from .states import (
     KET_PLUS,
     DensityMatrix,
     QuantumChannel,
+    _ordered_sum,
     as_density,
     depolarizing_channel,
     identity_channel,
@@ -188,8 +189,8 @@ def reconcile_and_amplify(code: CssCode, x_alice: np.ndarray, x_bob: np.ndarray,
 
     Alice announces offset = x_alice - v; Bob decodes x_bob - offset with C1
     to recover v, and both reduce to the coset key of v + C2 in C1.  Returns
-    (key_alice, key_bob, success); success means Bob's decode landed on v
-    exactly, which is guaranteed when the strings differ in <= t places.
+    (key_alice, key_bob, success, offset); success means Bob's decode landed
+    on v exactly, which is guaranteed when the strings differ in <= t places.
     """
     offset = (np.asarray(x_alice, dtype=np.uint8) ^ v).astype(np.uint8)
     key_a = coset_key(code, v)
@@ -220,10 +221,7 @@ _CHUNK = 256   # trials per stack: temporaries stay a few MB at any batch size
 
 
 def _run_trials(cfg: ProtocolConfig, ch: ChannelModel, seeds: list) -> list[ProtocolTranscript]:
-    """One protocol run per master seed, on stacks of at most _CHUNK trials."""
-    if len(seeds) > _CHUNK:
-        return [t for at in range(0, len(seeds), _CHUNK)
-                for t in _run_trials(cfg, ch, seeds[at:at + _CHUNK])]
+    """One protocol run per master seed, all as one stack of (trials, qubits) rows."""
     n, total, code, table = cfg.n, cfg.qubits_sent, cfg.code, _p0_table(ch)
     n_blocks, every = n // code.n, range(len(seeds))
 
@@ -285,11 +283,12 @@ def run_bb84(cfg: ProtocolConfig, ch: ChannelModel) -> ProtocolTranscript:
 def run_batch(cfg: ProtocolConfig, ch: ChannelModel, trials: int) -> list[ProtocolTranscript]:
     """Independent protocol runs with per-trial seeds derived from the master.
 
-    Trial i is run_bb84 under the seed from stream ("trial", i); all run as stacks.
+    Trial i is run_bb84 under the seed from stream ("trial", i), in stacks of _CHUNK trials.
     """
     seeds = [int(stream(cfg.master_seed, "trial", str(i)).integers(0, 2 ** 62))
              for i in range(_check.integer(trials, "trials", 0))]
-    return _run_trials(cfg, ch, seeds)
+    return [t for at in range(0, len(seeds), _CHUNK)
+            for t in _run_trials(cfg, ch, seeds[at:at + _CHUNK])]
 
 
 def privacy_lower_bound(rho, op) -> float:
@@ -310,13 +309,9 @@ def eve_holevo_bound() -> float:
     the basis announced afterwards, modelled as the block states
     sum_b 1/2 |psi_(a,b)><psi_(a,b)| (x) |b><b| conditioned on the key bit a.
     """
-    blocks = []
-    for a in (0, 1):
-        big = np.zeros((4, 4), dtype=complex)
-        for b in (COMPUTATIONAL, HADAMARD_BASIS):
-            big += 0.5 * np.kron(STATE_MATRICES[b][a], outer(np.eye(2, dtype=complex)[b]))
-        blocks.append((0.5, DensityMatrix(big, (2, 2))))
-    return holevo_chi(blocks)
+    blocks = [_ordered_sum([0.5 * np.kron(STATE_MATRICES[b][a], outer(ID2[b]))
+                            for b in (COMPUTATIONAL, HADAMARD_BASIS)]) for a in (0, 1)]
+    return holevo_chi([(0.5, DensityMatrix(big, (2, 2))) for big in blocks])
 
 
 def eve_information_estimate(transcripts: list[ProtocolTranscript]) -> tuple[float, float]:

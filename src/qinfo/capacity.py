@@ -23,6 +23,7 @@ from .rng import stream
 from .states import (
     TOL_EIG,
     QuantumChannel,
+    _ordered_sum,
     clamp_spectrum,
     dag,
     eig_hermitian,
@@ -288,10 +289,8 @@ def square_root_measurement(p_global: np.ndarray,
     if d > 16:
         raise ValueError("square-root measurement capped at dimension 16")
     compressed = [p @ np.asarray(s, dtype=complex) @ p for s in signals]
-    total = np.zeros((d, d), dtype=complex)
-    for c in compressed:
-        total += c
-    w, v = eig_hermitian(total)
+    # a zero first term keeps T defined, and zero, for an empty list of signals
+    w, v = eig_hermitian(_ordered_sum([np.zeros((d, d), dtype=complex)] + compressed))
     w = clamp_spectrum(w, tol=1e-8)
     support = w > max(TOL_EIG, 1e-12 * max(w.max(), 1.0))
     inv_sqrt_diag = np.where(support, 1.0 / np.sqrt(np.where(support, w, 1.0)), 0.0)

@@ -145,10 +145,9 @@ def cmd_qkd(args) -> int:
     lines.append(formats.csv_row(["aggregate", aborts / len(transcripts),
                                   float(np.mean(qbers)) if qbers else "",
                                   matches / survivors if survivors else 0.0]))
+    if args.transcripts:   # first, so an unwritable path fails before the table prints
+        formats.dump_json([formats.transcript_to_json(t) for t in transcripts], args.transcripts)
     _emit(lines, args.out)
-    if args.transcripts:
-        payload = [formats.transcript_to_json(t) for t in transcripts]
-        formats.dump_json(payload, args.transcripts)
     return 0
 
 

@@ -220,15 +220,6 @@ class LinearCode:
     def contains(self, word) -> bool:
         return not np.any(syndrome(self, word))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LinearCode)
-                and self.generator.shape == other.generator.shape
-                and np.array_equal(self.generator, other.generator)
-                and np.array_equal(self.parity_check, other.parity_check))
-
-    def __hash__(self) -> int:
-        return hash((self.generator.tobytes(), self.parity_check.tobytes()))
-
     def __repr__(self) -> str:
         return f"LinearCode[n={self.n}, k={self.k}, d={self.distance}]"
 
@@ -475,9 +466,7 @@ def css_basis_state(code: CssCode, x) -> np.ndarray:
     if not code.c1.contains(x):
         raise ValueError("x must be a codeword of C1")
     vec = np.zeros(1 << code.n, dtype=complex)
-    norm = 1.0 / math.sqrt(1 << code.c2.k)
-    for y in code.c2.codewords():
-        vec[bits_to_index(x ^ y)] += norm
+    vec[[bits_to_index(x ^ y) for y in code.c2.codewords()]] = 1.0 / math.sqrt(1 << code.c2.k)
     return vec
 
 
@@ -564,12 +553,10 @@ def simulate_css_correction(code: CssCode, x, e1, e2) -> CssCorrectionResult:
         return CssCorrectionResult(np.zeros(code.n, dtype=np.uint8), False, dual_frame)
     vec = apply_bit_flips(vec, out[1], code.n)
 
-    # Back to the computational frame; the support is the recovered coset.
+    # Back to the computational frame: the dual-frame fix moved only a phase, so
+    # the support is v + C2 for some v in C1, the recovered coset.
     vec = hadamard_all(vec)
-    word = _support_word(vec, code.n)
-    if not code.c1.contains(word):
-        return CssCorrectionResult(word, False, dual_frame)
-    recovered = canonical_coset_rep(code.c2, word)
+    recovered = canonical_coset_rep(code.c2, _support_word(vec, code.n))
     return CssCorrectionResult(recovered, bool(np.array_equal(recovered, target)), dual_frame)
 
 

@@ -22,6 +22,7 @@ from .states import (
     DensityMatrix,
     QuantumChannel,
     _bipartite,
+    _ordered_sum,
     apply_channel,
     as_density,
     clamp_spectrum,
@@ -120,15 +121,11 @@ def _validate_ensemble(ensemble: Ensemble) -> tuple[np.ndarray, list[DensityMatr
 
 
 def _mix(probs: np.ndarray, mats) -> np.ndarray:
-    """sum_x p_x mats[x], accumulated from zero in member order so results are reproducible.
+    """sum_x p_x mats[x], added in member order by ``_ordered_sum`` so results are reproducible.
 
     ``probs`` (m,) and ``mats`` (m, d, d) may carry one leading stack axis.
     """
-    terms = probs[..., None, None] * np.asarray(mats)
-    out = np.zeros(terms.shape[:-3] + terms.shape[-2:], dtype=complex)
-    for term in terms.swapaxes(0, -3):
-        out += term
-    return out
+    return _ordered_sum((probs[..., None, None] * np.asarray(mats)).swapaxes(0, -3))
 
 
 def _holevo(probs: np.ndarray, mats: np.ndarray):

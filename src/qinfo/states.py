@@ -126,9 +126,6 @@ class DensityMatrix:
     def maximally_mixed(cls, dim: int, dims: tuple[int, ...] | None = None) -> "DensityMatrix":
         return cls(np.eye(_check.integer(dim, "dim", 1), dtype=complex) / dim, dims)
 
-    def with_dims(self, dims: tuple[int, ...]) -> "DensityMatrix":
-        return DensityMatrix(self.mat, dims)
-
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order, negative dust clamped to zero."""
         return self._spectrum
@@ -137,13 +134,9 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, dims={self.dims})"
 
 
-def as_density(rho, dims: tuple[int, ...] | None = None) -> DensityMatrix:
-    """Coerce an ndarray (or pass through a DensityMatrix) with optional dims."""
-    if isinstance(rho, DensityMatrix):
-        if dims is not None and rho.dims != tuple(dims):
-            return rho.with_dims(tuple(dims))
-        return rho
-    return DensityMatrix(rho, dims)
+def as_density(rho) -> DensityMatrix:
+    """rho itself if it is a DensityMatrix, else a new one (no dims) validated from an array."""
+    return rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
 
 
 def _unit_vector(amplitudes) -> np.ndarray:
@@ -161,6 +154,18 @@ def _bipartite(rho) -> DensityMatrix:
     if rho.dims is None or len(rho.dims) != 2:
         raise ValueError(f"state must carry two subsystem dims, got {rho.dims}")
     return rho
+
+
+def _ordered_sum(terms) -> np.ndarray:
+    """terms[0] + terms[1] + ..., added in that order into a complex zero.
+
+    The one accumulation loop behind channel outputs, mixtures and measurement
+    sums, so each adds its terms in operand order and keeps its bits.
+    """
+    out = np.zeros(np.shape(terms[0]), dtype=complex)
+    for t in terms:
+        out += t
+    return out
 
 
 def clamp_spectrum(w: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
@@ -185,19 +190,14 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
-def tensor_product(a, b):
-    """Kronecker product; subsystem dims multiply.
+def tensor_product(a, b) -> DensityMatrix:
+    """Kronecker product of two states, each coerced by ``as_density``.
 
-    For two density matrices the result is a valid DensityMatrix whose
-    ``dims`` is the concatenation of the factors' dims (each factor defaulting
-    to its own full dimension).
+    The result is a DensityMatrix whose ``dims`` is the concatenation of the
+    factors' dims (each factor defaulting to its own full dimension).
     """
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        dims = (a.dims or (a.dim,)) + (b.dims or (b.dim,))
-        return DensityMatrix(np.kron(a.mat, b.mat), dims)
-    amat = a.mat if isinstance(a, DensityMatrix) else np.asarray(a, dtype=complex)
-    bmat = b.mat if isinstance(b, DensityMatrix) else np.asarray(b, dtype=complex)
-    return np.kron(amat, bmat)
+    a, b = as_density(a), as_density(b)
+    return DensityMatrix(np.kron(a.mat, b.mat), (a.dims or (a.dim,)) + (b.dims or (b.dim,)))
 
 
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
@@ -277,14 +277,11 @@ class QuantumChannel:
         if any(k.shape != ops[0].shape for k in ops):
             raise ValueError("Kraus operators have inconsistent input or output dimension")
         stack = np.array(ops)
-        acc = np.zeros((din, din), dtype=complex)
-        for k in stack:
-            acc += dag(k) @ k
-        if not np.max(np.abs(acc - np.eye(din))) <= TOL_UNIT:
-            raise ValueError("Kraus operators are not trace preserving")
-        stack.setflags(write=False)
         # each dagger is a transposed view of a conjugate, laid out as dag(k)
         stack_dag = np.conj(stack).transpose(0, 2, 1)
+        if not np.max(np.abs(_ordered_sum(stack_dag @ stack) - np.eye(din))) <= TOL_UNIT:
+            raise ValueError("Kraus operators are not trace preserving")
+        stack.setflags(write=False)
         stack_dag.setflags(write=False)
         self.kraus = list(stack)
         self._stack = stack
@@ -298,28 +295,21 @@ class QuantumChannel:
     def dim_out(self) -> int:
         return self._stack.shape[1]
 
-    def __call__(self, rho) -> DensityMatrix:
-        return apply_channel(rho, self)
-
     def apply_mat(self, mat: np.ndarray) -> np.ndarray:
         """sum_i E_i mat E_i^dagger on a matrix or a stack of matrices (..., d, d).
 
         All r products ``E_i @ mat @ E_i^dagger`` come from one broadcast
-        matmul over a leading Kraus axis, then are added into a zero
-        accumulator in Kraus order.  Each product is the same matrix product
-        on the same operand layouts as in a per-operator loop, and the sum
-        keeps its order, so the result is bit-identical to
+        matmul over a leading Kraus axis, then ``_ordered_sum`` adds them in
+        Kraus order.  Each product is the same matrix product on the same
+        operand layouts as in a per-operator loop, and the sum keeps its
+        order, so the result is bit-identical to
         ``out = 0; for k in kraus: out += k @ mat @ dag(k)``.
         """
         mat = np.asarray(mat)
-        lead = mat.shape[:-2]
         k, k_dag = self._stack, self._stack_dag
-        axes = (len(k),) + (1,) * len(lead)
-        terms = k.reshape(axes + k.shape[1:]) @ mat @ k_dag.reshape(axes + k_dag.shape[1:])
-        out = np.zeros(lead + (self.dim_out, self.dim_out), dtype=complex)
-        for t in terms:
-            out += t
-        return out
+        axes = (len(k),) + (1,) * (mat.ndim - 2)
+        return _ordered_sum(k.reshape(axes + k.shape[1:]) @ mat
+                            @ k_dag.reshape(axes + k_dag.shape[1:]))
 
     def compose(self, inner: "QuantumChannel") -> "QuantumChannel":
         """Channel equal to self applied after ``inner``."""
@@ -375,11 +365,8 @@ def purify(rho: DensityMatrix) -> np.ndarray:
     w, v = eig_hermitian(rho.mat)
     w = clamp_spectrum(w)
     d = rho.dim
-    psi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        if w[i] > 0.0:
-            psi += np.sqrt(w[i]) * np.kron(ket(i, d), v[:, i])
-    return psi
+    return _ordered_sum([np.sqrt(w[i]) * np.kron(ket(i, d), v[:, i])
+                         for i in range(d) if w[i] > 0.0])
 
 
 def schmidt_decompose(psi: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -439,9 +426,7 @@ def cyclic_averaging(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     d = a.shape[0]
     z = np.linalg.qr(np.linalg.eig(a)[1])[0]   # a = z diag z^dagger
     unitaries = [_cyclic_shift(d, i) @ dag(z) for i in range(d)]
-    average = np.zeros((d, d), dtype=complex)
-    for u in unitaries:
-        average += u @ a @ dag(u)
+    average = _ordered_sum([u @ a @ dag(u) for u in unitaries])
     miss = float(np.max(np.abs(average - np.trace(a) * np.eye(d))))
     if miss > TOL_RECON:
         raise ValueError(f"cyclic_averaging requires a normal matrix: the average misses "

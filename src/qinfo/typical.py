@@ -244,14 +244,12 @@ class ShannonScheme:
 
     @cached_property
     def included(self) -> list[tuple[int, ...]]:
+        # the most probable typical sequences as one-member classes, so an
+        # undersized rate keeps the lexicographically first of a tie
         mask, prob = _typical_table(self.model)
-        if self.set_size > self._capacity:
-            # Undersized rate: keep the most probable typical sequences, ties
-            # going to the lexicographically first.
-            typical = np.flatnonzero(mask)
-            kept = typical[np.argsort(-prob[typical], kind="stable")[:self._capacity]]
-            mask = np.zeros_like(mask)
-            mask[kept] = True
+        typical = np.flatnonzero(mask)
+        mask[typical] = _most_probable(np.ones(typical.size, np.int64), prob[typical],
+                                       self._capacity) > 0
         return _sequences(self.model, mask)
 
     @cached_property
@@ -262,7 +260,7 @@ class ShannonScheme:
         return self._to_index.get(tuple(map(_symbol, seq)), 0)
 
     def decompress(self, index: int) -> tuple[int, ...] | None:
-        if 1 <= index <= len(self.included):
+        if 1 <= _check.integer(index, "index") <= len(self.included):
             return self.included[index - 1]
         return None
 
@@ -280,12 +278,6 @@ def _eigen_source(q: QuantumSourceModel) -> tuple[np.ndarray, SourceModel]:
     return v, SourceModel(tuple(w / w.sum()), q.block_length, q.epsilon)
 
 
-def _eigen_table(q: QuantumSourceModel) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Eigenvectors of the single-copy state and the typical table of its eigenvalues."""
-    v, model = _eigen_source(q)
-    return v, _typical_table(model)
-
-
 def typical_subspace_projector(q: QuantumSourceModel) -> np.ndarray:
     """Projector onto the span of typical eigenvector blocks of rho^(x n).
 
@@ -293,7 +285,8 @@ def typical_subspace_projector(q: QuantumSourceModel) -> np.ndarray:
     set, so its rank equals the classical set size and tr(P rho^(x n)) equals
     the classical typical mass.
     """
-    v, (mask, _) = _eigen_table(q)
+    v, model = _eigen_source(q)
+    mask = _typical_table(model)[0]
     vn = reduce(np.kron, [v] * q.block_length, np.ones((1, 1), dtype=complex))
     return vn @ np.diag(mask.astype(complex)) @ dag(vn)
 
@@ -306,7 +299,7 @@ def schumacher_compress(q: QuantumSourceModel, sigma) -> DensityMatrix:
     by construction; decompression is the identity.
     """
     p = typical_subspace_projector(q)
-    sig = as_density(sigma, dims=None).mat
+    sig = as_density(sigma).mat
     if sig.shape != p.shape:
         raise ValueError("state dimension does not match the block space")
     dn = p.shape[0]

@@ -277,6 +277,15 @@ class TestEveInformation:
         mi, bound = eve_information_estimate(ts)
         assert 0.0 < mi <= bound + 1e-9
 
+    def test_no_intercepted_sifted_position_adds_nothing(self):
+        # rate 0 keeps Eve's fields on every transcript, with an all-zero mask
+        quiet = run_batch(config(seed=16), ChannelModel("intercept_resend", 0.0), 3)
+        assert all(t.eve_mask is not None and not t.eve_mask.any() for t in quiet)
+        assert eve_information_estimate(quiet) == (0.0, eve_holevo_bound())
+        busy = run_batch(config(n=128, seed=15, threshold=127),
+                         ChannelModel("intercept_resend", 0.4), 5)
+        assert eve_information_estimate(quiet + busy) == eve_information_estimate(busy)
+
     def test_holevo_bound_value(self):
         assert eve_holevo_bound() == pytest.approx(1.0, abs=1e-9)
 

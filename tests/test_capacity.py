@@ -359,6 +359,10 @@ class TestSquareRootMeasurement:
         assert success > naive
         assert success == pytest.approx(0.5 * (1 + 1 / math.sqrt(2)), abs=1e-9)
 
+    def test_no_signals_leave_only_the_completion_element(self):
+        povm = square_root_measurement(np.eye(3, dtype=complex), [])
+        assert len(povm) == 1 and np.array_equal(povm[0], np.eye(3))
+
     def test_positivity_and_completeness_random(self, rng):
         for _ in range(20):
             d = int(rng.integers(2, 5))

@@ -441,6 +441,20 @@ class TestQkdCommand:
         assert hashlib.sha256(transcripts.read_bytes()).hexdigest() == (
             "8aae9dc87cd3f3491e84e340e9229c7d67d3eefab08b235d1c1ce45c321a4f27")
 
+    def test_code_files_give_the_steane_run(self, workdir, capsys):
+        # Hamming over its dual, read from code files, is the Steane code bit for bit
+        (workdir / "simplex.txt").write_text(formats.code_to_text(codes.dual_code(hamming_7_4())))
+        runs = []
+        for code in ("steane", {"c1": str(workdir / "hamming.txt"),
+                                "c2": str(workdir / "simplex.txt")}):
+            (workdir / "files.json").write_text(json.dumps(
+                {"n": 64, "code": code, "channel": {"kind": "depolarizing", "param": 0.05}}))
+            transcripts = workdir / "transcripts.json"
+            runs.append((run_cli(["qkd", "--config", str(workdir / "files.json"), "--seed", "2",
+                                  "--trials", "4", "--transcripts", str(transcripts)], capsys),
+                         transcripts.read_bytes()))
+        assert runs[0] == runs[1] and runs[0][0][0] == 0
+
     def test_all_sifting_aborts_print_an_empty_aggregate_qber(self, tmp_path, capsys):
         # no trial has a qber, so the aggregate cell is empty like the trial rows'
         (tmp_path / "sift.json").write_text(json.dumps(
@@ -472,6 +486,16 @@ class TestBadInput:
         pytest.param(QKD, {"n": 3, "channel": {"kind": "ideal"}}, "shorter than one code block",
                      id="qkd-n-below-code-block"),
         pytest.param(QKD, {"channel": {"kind": "ideal"}}, "missing field 'n'", id="qkd-no-n"),
+        pytest.param(QKD, {**QKD_IDEAL, "code": "hamming"},
+                     "code must be 'steane' or {'c1': path, 'c2': path}", id="qkd-code-name"),
+        pytest.param(QKD, {**QKD_IDEAL, "code": {"c1": 7, "c2": "c2.txt"}},
+                     "code must be 'steane' or {'c1': path, 'c2': path}",
+                     id="qkd-code-path-number"),
+        pytest.param(QKD, {**QKD_IDEAL, "code": {"c1": "no-such-dir/c1.txt", "c2": "c2.txt"}},
+                     "no-such-dir/c1.txt", id="qkd-code-file-missing"),
+        # the transcripts file is written before the table, so stdout stays empty
+        pytest.param(QKD + ["--trials", "2", "--transcripts", "{bad}/t.json"], QKD_IDEAL,
+                     "bad.json/t.json", id="qkd-transcripts-unwritable"),
         pytest.param(QKD, {"n": 64, "channel": {}}, "missing field 'kind'", id="qkd-no-kind"),
         pytest.param(["entropy", "--inline", '{"a":1}'], None, "distribution",
                      id="entropy-object"),

@@ -486,6 +486,12 @@ class TestDualSumIdentity:
             assert total == (8 if tuple(z) in dual_words else 0)
 
 
+def extended_hamming() -> LinearCode:
+    """The self-dual [8, 4, 4] code: Hamming [7, 4, 3] plus an overall parity bit."""
+    g = hamming_7_4().generator
+    return LinearCode(np.vstack([g, g.sum(axis=0) % 2]))
+
+
 class TestCssCorrection:
     def test_identity_recovery(self):
         s = steane_css()
@@ -543,6 +549,50 @@ class TestCssCorrection:
         for e1, e2 in ((e, zero), (zero, e)):
             with pytest.raises(ValueError, match="need 7 bits"):
                 simulate_css_correction(s, x, e1, e2)
+
+    # CSS(ext8, ext8) at t = 1: a weight-2 pattern has zero overall parity but a
+    # nonzero syndrome, which no pattern of weight <= 1 shares, so its decode fails
+    def test_undecodable_bit_flips_fail_in_the_first_round(self):
+        ext8 = extended_hamming()
+        code, zero = CssCode(ext8, ext8, t=1), np.zeros(8, dtype=np.uint8)
+        res = simulate_css_correction(code, ext8.codewords()[5], bits("11000000"), zero)
+        assert not res.success and not res.recovered.any() and not res.dual_frame.any()
+
+    def test_undecodable_phase_flips_fail_in_the_dual_frame(self):
+        ext8 = extended_hamming()
+        code, zero = CssCode(ext8, ext8, t=1), np.zeros(8, dtype=np.uint8)
+        res = simulate_css_correction(code, ext8.codewords()[5], zero, bits("00010100"))
+        assert not res.success and not res.recovered.any()
+        assert abs(np.linalg.norm(res.dual_frame) - 1.0) < 1e-12   # the Hadamard frame was reached
+
+    def test_dual_c2_is_built_on_first_use_and_kept(self):
+        ext8 = extended_hamming()
+        code = CssCode(ext8, ext8, t=1)
+        assert is_weakly_self_dual(ext8) and "dual_c2" not in vars(code)
+        dual = code.dual_c2
+        assert code.dual_c2 is dual
+        assert np.array_equal(dual.generator, ext8.parity_check.T)
+        assert np.array_equal(dual.parity_check, ext8.generator.T)
+
+    # each outcome is (success, whether the dual frame was reached)
+    @pytest.mark.parametrize("make,outcomes", [
+        (steane_css, {(True, True), (False, True)}),   # perfect decoders never miss
+        (lambda: CssCode(extended_hamming(), extended_hamming(), t=1),
+         {(True, True), (False, True), (False, False)}),   # one coset: no wrong one
+    ], ids=["steane", "ext8"])
+    def test_every_recovered_word_lies_in_c1(self, make, outcomes):
+        # after the bit-flip round the support is v + C2 with v in C1, and the
+        # dual-frame fix only changes a phase, so no outcome leaves C1
+        code, rng = make(), stream(3, "css-recovered")
+        words = code.c1.codewords()
+        seen = set()
+        for rate in (0.1, 0.3, 0.6):
+            for _ in range(100):
+                e1, e2 = (rng.random((2, code.n)) < rate).astype(np.uint8)
+                res = simulate_css_correction(code, words[rng.integers(len(words))], e1, e2)
+                assert code.c1.contains(res.recovered)
+                seen.add((res.success, bool(res.dual_frame.any())))
+        assert seen == outcomes
 
     def test_each_table_is_built_once_across_calls(self, monkeypatch):
         built = []

@@ -12,7 +12,7 @@ from qinfo.typical import (
     CapacityError,
     QuantumSourceModel,
     SourceModel,
-    _eigen_table,
+    _eigen_source,
     _typical_table,
     is_typical,
     multinomial_count,
@@ -206,6 +206,15 @@ class TestShannonScheme:
                 else:
                     assert idx == 0 and s.decompress(idx) is None
 
+    def test_decompress_numpy_and_out_of_range_integers(self):
+        # bool and float indices are in test_check's integer table
+        s = shannon_scheme(SourceModel(SKEWED, 4, 0.3), 1.0)
+        size = len(s.included)
+        for index in (1, np.int64(1), np.uint8(size), size):
+            assert s.decompress(index) == s.included[int(index) - 1]
+        for index in (0, -1, np.int64(-5), size + 1, 2 ** 70):
+            assert s.decompress(index) is None
+
     def test_non_integer_symbols_compress_to_failure(self):
         s = shannon_scheme(SourceModel(SKEWED, 4, 0.3), 1.0)
         idx = s.compress((0, 0, 0, 1))
@@ -366,7 +375,8 @@ class TestSchumacher:
             rho = DensityMatrix(u @ np.diag(w).astype(complex) @ dag(u))
             q = QuantumSourceModel(rho, n, float(rng.uniform(0.05, 0.6)))
             rho_n = block_state(q)
-            v, (kept, lam) = _eigen_table(q)
+            v, model = _eigen_source(q)
+            kept, lam = _typical_table(model)
             if capped:
                 max_rank = int(rng.integers(0, d ** n + 2))
                 kept = np.zeros_like(kept)
