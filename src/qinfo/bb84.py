@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 import reprlib
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -260,7 +261,7 @@ def _run_trials(cfg: ProtocolConfig, ch: ChannelModel, seeds: list) -> list[Prot
     blocks = (a.reshape(good.size, n_blocks, *a.shape[1:]) for a in _reconcile_blocks(
         code, x_alice.reshape(-1, code.n), x_bob.reshape(-1, code.n), msgs))
 
-    runs = [dict(config_seed=seed, alice_bits=alice_bits[i], alice_bases=alice_bases[i],
+    runs = [dict(config_seed=int(seed), alice_bits=alice_bits[i], alice_bases=alice_bases[i],
                  bob_bases=bob_bases[i], bob_bits=bob_bits[i], sift_mask=sift_mask[i],
                  **{name: rows[i] for name, rows in eve.items()}) for i, seed in enumerate(seeds)]
     for i, d in zip(np.flatnonzero(enough), disagreements[enough].tolist()):
@@ -280,15 +281,24 @@ def run_bb84(cfg: ProtocolConfig, ch: ChannelModel) -> ProtocolTranscript:
     return _run_trials(cfg, ch, [cfg.master_seed])[0]
 
 
-def run_batch(cfg: ProtocolConfig, ch: ChannelModel, trials: int) -> list[ProtocolTranscript]:
+def run_chunks(cfg: ProtocolConfig, ch: ChannelModel,
+               trials: int) -> Iterator[list[ProtocolTranscript]]:
     """Independent protocol runs with per-trial seeds derived from the master.
 
-    Trial i is run_bb84 under the seed from stream ("trial", i), in stacks of _CHUNK trials.
+    Trial i is run_bb84 under the seed from stream ("trial", i).  Yields the
+    transcripts as lists of at most _CHUNK consecutive trials, one stack at a
+    time, so a consumer that drops each list runs in constant memory.
     """
-    seeds = [int(stream(cfg.master_seed, "trial", str(i)).integers(0, 2 ** 62))
-             for i in range(_check.integer(trials, "trials", 0))]
-    return [t for at in range(0, len(seeds), _CHUNK)
-            for t in _run_trials(cfg, ch, seeds[at:at + _CHUNK])]
+    trials = _check.integer(trials, "trials", 0)
+    for at in range(0, trials, _CHUNK):
+        seeds = [int(stream(cfg.master_seed, "trial", str(i)).integers(0, 2 ** 62))
+                 for i in range(at, min(at + _CHUNK, trials))]
+        yield _run_trials(cfg, ch, seeds)
+
+
+def run_batch(cfg: ProtocolConfig, ch: ChannelModel, trials: int) -> list[ProtocolTranscript]:
+    """Every transcript of run_chunks, in trial order."""
+    return [t for chunk in run_chunks(cfg, ch, trials) for t in chunk]
 
 
 def privacy_lower_bound(rho, op) -> float:

@@ -9,6 +9,8 @@ exits 2 with one ``error:`` line on stderr and no traceback.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import functools
 import json
 import math
@@ -134,20 +136,29 @@ def cmd_qkd(args) -> int:
     cfg = bb84.ProtocolConfig(n=n, delta=delta, threshold=conf.get("threshold", round(0.11 * n)),
                               code=css, master_seed=args.seed)
     ch = bb84.ChannelModel(conf["channel"]["kind"], param)
-    transcripts = bb84.run_batch(cfg, ch, args.trials)
+    header = ["trial,aborted,sifted_count,qber,key_len,keys_match"]
+    qbers, totals = [], collections.Counter()
+    with contextlib.ExitStack() as files:   # both outputs open before the first trial runs
+        out = files.enter_context(open(args.out, "w")) if args.out else sys.stdout
+        dump = files.enter_context(open(args.transcripts, "w")) if args.transcripts else None
 
-    lines = ["trial,aborted,sifted_count,qber,key_len,keys_match"]
-    lines += formats.batch_summary_rows(transcripts)
-    qbers = [t.qber_estimate for t in transcripts if not np.isnan(t.qber_estimate)]
-    aborts = sum(t.aborted for t in transcripts)
-    matches = sum(t.keys_match for t in transcripts)
-    survivors = len(transcripts) - aborts
-    lines.append(formats.csv_row(["aggregate", aborts / len(transcripts),
-                                  float(np.mean(qbers)) if qbers else "",
-                                  matches / survivors if survivors else 0.0]))
-    if args.transcripts:   # first, so an unwritable path fails before the table prints
-        formats.dump_json([formats.transcript_to_json(t) for t in transcripts], args.transcripts)
-    _emit(lines, args.out)
+        def trials():   # one chunk at a time: its CSV rows, then its transcripts
+            for chunk in bb84.run_chunks(cfg, ch, args.trials):
+                rows = formats.batch_summary_rows(chunk, totals["trials"])
+                out.write("\n".join(rows if totals["trials"] else header + rows) + "\n")
+                totals.update(trials=len(chunk), aborts=sum(t.aborted for t in chunk),
+                              matches=sum(t.keys_match for t in chunk))
+                qbers.extend(t.qber_estimate for t in chunk if not np.isnan(t.qber_estimate))
+                yield from chunk
+
+        if dump:
+            formats.write_transcripts(trials(), dump)
+        else:
+            collections.deque(trials(), maxlen=0)
+        survivors = totals["trials"] - totals["aborts"]
+        out.write(formats.csv_row(["aggregate", totals["aborts"] / totals["trials"],
+                                   float(np.mean(qbers)) if qbers else "",
+                                   totals["matches"] / survivors if survivors else 0.0]) + "\n")
     return 0
 
 

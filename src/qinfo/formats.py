@@ -9,13 +9,21 @@ parity rows.  CSV output is locale free: csv_row writes str cells as given,
 bools as 0/1, Python and NumPy integers as digits and every other value
 through fmt, with 12 significant digits.  JSON output (dump_json) is
 byte-identical to json.dumps(obj, indent=2, sort_keys=True); strings go
-through json's own C escaper.
+through json's own C escaper.  write_transcripts(transcripts, fh) writes
+exactly dump_json([transcript_to_json(t) for t in transcripts]) plus a
+newline, but builds each transcript's text straight from its arrays and
+takes the transcripts one at a time, so a stream of them is never held
+whole; transcript_to_json and dump_json stay as its reference.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+from collections.abc import Iterable
+from typing import TextIO
 
 import numpy as np
 
@@ -152,12 +160,54 @@ def transcript_to_json(t: ProtocolTranscript) -> dict:
     }
 
 
-def batch_summary_rows(transcripts: list[ProtocolTranscript]) -> list[str]:
-    """Per-trial CSV lines: trial, aborted, sifted_count, qber, key_len, keys_match."""
+def batch_summary_rows(transcripts: list[ProtocolTranscript], start: int = 0) -> list[str]:
+    """Per-trial CSV lines: trial, aborted, sifted_count, qber, key_len, keys_match.
+
+    Trials are numbered from start.
+    """
     return [csv_row([i, t.aborted, t.sift_mask.sum(),
                      "" if np.isnan(t.qber_estimate) else t.qber_estimate,
                      t.alice_key.size, t.keys_match])
-            for i, t in enumerate(transcripts)]
+            for i, t in enumerate(transcripts, start)]
+
+
+# transcript_to_json's keys in sorted order, with how the writer prints each value
+_TRANSCRIPT_KEYS = tuple(sorted(f.name for f in dataclasses.fields(ProtocolTranscript)))
+_INDEX_FIELDS = {"check_indices", "keep_indices"}
+_SCALAR_FIELDS = {"abort_reason", "aborted", "config_seed", "disagreements", "qber_estimate"}
+
+
+@functools.lru_cache(maxsize=16)
+def _decimals(size: int) -> list[str]:
+    """int.__repr__ of 0 .. size-1, looked up instead of formatted per index."""
+    return [str(i) for i in range(size)]
+
+
+def _transcript_text(t: ProtocolTranscript) -> str:
+    """_json_text(transcript_to_json(t), "\n  "): one element of the top-level list."""
+    decimals = _decimals(t.alice_bits.size)   # every index points into the qubits sent
+    cells = []
+    for name in _TRANSCRIPT_KEYS:
+        v = getattr(t, name)
+        if name in _INDEX_FIELDS:
+            text = ("[\n      " + ",\n      ".join(map(decimals.__getitem__, v.tolist()))
+                    + "\n    ]") if v.size else "[]"
+        elif name in _SCALAR_FIELDS:
+            text = _json_text(None if name == "qber_estimate" and np.isnan(v) else v, "")
+        else:   # bits hold only 0 and 1, which json leaves unescaped
+            text = "null" if v is None else f'"{bits_to_str(v)}"'
+        cells.append(f'"{name}": {text}')
+    return "{\n    " + ",\n    ".join(cells) + "\n  }"
+
+
+def write_transcripts(transcripts: Iterable[ProtocolTranscript], fh: TextIO) -> None:
+    """Write dump_json([transcript_to_json(t) for t in transcripts]) and a newline to fh,
+    one transcript at a time, so a lazy iterable is written as it is produced."""
+    sep = "[\n  "
+    for t in transcripts:
+        fh.write(sep + _transcript_text(t))
+        sep = ",\n  "
+    fh.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -295,7 +295,7 @@ def run_bb84(cfg, ch) -> ProtocolTranscript:
 
     sift_mask = alice_bases == bob_bases
     sifted = np.nonzero(sift_mask)[0]
-    run = dict(config_seed=seed, alice_bits=alice_bits, alice_bases=alice_bases,
+    run = dict(config_seed=int(seed), alice_bits=alice_bits, alice_bases=alice_bases,
                bob_bases=bob_bases, bob_bits=bob_bits, sift_mask=sift_mask, **eve)
 
     if sifted.size < 2 * n:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 from collections import Counter
 
 import numpy as np
@@ -560,6 +561,84 @@ class TestGoldenTranscripts:
                 failed_blocks += int(np.sum(~t.block_success))
         assert reasons == {None, "sifting", "check-bit"}
         assert failed_blocks > 0
+
+    @pytest.mark.parametrize("n,seed,kind,param,digest", GOLDEN,
+                             ids=[f"n{c[0]}-s{c[1]}-{c[2]}-{c[3]}" for c in GOLDEN])
+    def test_writer_gives_the_golden_bytes(self, n, seed, kind, param, digest):
+        buf = io.StringIO()
+        formats.write_transcripts(golden_batch(n, seed, kind, param), buf)
+        text = buf.getvalue()
+        assert text.endswith("]\n")
+        assert hashlib.sha256(text[:-1].encode()).hexdigest() == digest
+
+
+def written(transcripts) -> str:
+    buf = io.StringIO()
+    formats.write_transcripts(transcripts, buf)
+    return buf.getvalue()
+
+
+def reference_text(transcripts) -> str:
+    return formats.dump_json([formats.transcript_to_json(t) for t in transcripts]) + "\n"
+
+
+class TestTranscriptWriter:
+    def test_every_outcome_equals_dump_json(self):
+        outcomes = Counter()
+        for case in ORACLE_CASES:
+            batch = run_batch(oracle_config(case), oracle_channel(case), 40)
+            assert written(batch) == reference_text(batch)
+            for t in batch:
+                assert written([t]) == reference_text([t])
+                outcomes[t.abort_reason and t.abort_reason.split()[0]] += 1
+                outcomes["eve"] += t.eve_mask is not None
+                outcomes["failed-block"] += bool(np.sum(~t.block_success))
+        assert set(outcomes) == {None, "sifting", "check-bit", "eve", "failed-block"}
+        assert min(outcomes.values()) > 0
+
+    def test_no_trials_write_an_empty_array(self):
+        assert written([]) == reference_text([]) == "[]\n"
+        assert written(iter(())) == "[]\n"
+
+    def test_lazy_iterable_is_written_as_it_comes(self):
+        batch = run_batch(oracle_config("eve"), oracle_channel("eve"), 5)
+        taken, taken_at_write = [], []
+
+        def lazy():
+            for t in batch:
+                taken.append(t)
+                yield t
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                taken_at_write.append(len(taken))
+                return super().write(text)
+
+        buf = Recorder()
+        formats.write_transcripts(lazy(), buf)
+        assert buf.getvalue() == reference_text(batch)
+        assert taken_at_write == [1, 2, 3, 4, 5, 5]   # one write per transcript, then "]"
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_numpy_integer_seed_exports_like_the_python_int(self, case):
+        ch = oracle_channel(case)
+        t = run_bb84(oracle_config(case, np.int64(3)), ch)
+        assert type(t.config_seed) is int
+        want = run_bb84(oracle_config(case, 3), ch)
+        assert formats.dump_json(formats.transcript_to_json(t)) == formats.dump_json(
+            formats.transcript_to_json(want))
+        assert written([t]) == written([want]) == reference_text([want])
+
+
+class TestChunks:
+    def test_chunks_split_the_batch_and_keep_every_trial(self, monkeypatch):
+        cfg, ch = oracle_config("eve"), oracle_channel("eve")
+        whole = run_batch(cfg, ch, 10)
+        monkeypatch.setattr(bb84, "_CHUNK", 3)
+        chunks = list(bb84.run_chunks(cfg, ch, 10))
+        assert [len(c) for c in chunks] == [3, 3, 3, 1]
+        for got, want in zip([t for c in chunks for t in c], whole, strict=True):
+            assert_same_transcript(got, want)
 
 
 # dtype and shape of every array field, captured before the transcript fields

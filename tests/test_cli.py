@@ -384,6 +384,20 @@ class TestCapacityCommand:
         assert json.loads(out)["capacity"] == pytest.approx(0.7, abs=1e-6)
 
 
+def assert_audit_golden(tmp_path):
+    # the qkd-audit shape: full interception on Steane, n=512, both outputs
+    (tmp_path / "eve.json").write_text(json.dumps({
+        "n": 512, "delta": 1.0, "threshold": 76, "code": "steane",
+        "channel": {"kind": "intercept_resend", "param": 1.0}}))
+    out, transcripts = tmp_path / "trials.csv", tmp_path / "transcripts.json"
+    assert main(["qkd", "--config", str(tmp_path / "eve.json"), "--seed", "6",
+                 "--trials", "20", "--out", str(out), "--transcripts", str(transcripts)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "859f4a2cd3c349f356aca46d64f0831ad7787a3d7531ed5403cfa3a1b00f21bb")
+    assert hashlib.sha256(transcripts.read_bytes()).hexdigest() == (
+        "8aae9dc87cd3f3491e84e340e9229c7d67d3eefab08b235d1c1ce45c321a4f27")
+
+
 class TestQkdCommand:
     def test_ideal_batch(self, workdir, capsys):
         code, out = run_cli(["qkd", "--config", str(workdir / "qkd.json"),
@@ -428,18 +442,25 @@ class TestQkdCommand:
         assert len(data) == 2 and not data[0]["aborted"]
 
     def test_audit_run_is_byte_identical(self, tmp_path):
-        # the qkd-audit shape: full interception on Steane, n=512, both outputs
-        (tmp_path / "eve.json").write_text(json.dumps({
-            "n": 512, "delta": 1.0, "threshold": 76, "code": "steane",
-            "channel": {"kind": "intercept_resend", "param": 1.0}}))
-        out, transcripts = tmp_path / "trials.csv", tmp_path / "transcripts.json"
-        assert main(["qkd", "--config", str(tmp_path / "eve.json"), "--seed", "6",
-                     "--trials", "20", "--out", str(out),
-                     "--transcripts", str(transcripts)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "859f4a2cd3c349f356aca46d64f0831ad7787a3d7531ed5403cfa3a1b00f21bb")
-        assert hashlib.sha256(transcripts.read_bytes()).hexdigest() == (
-            "8aae9dc87cd3f3491e84e340e9229c7d67d3eefab08b235d1c1ce45c321a4f27")
+        assert_audit_golden(tmp_path)
+
+    def test_audit_golden_holds_across_chunk_boundaries(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bb84, "_CHUNK", 7)   # 20 trials run as 7 + 7 + 6
+        assert_audit_golden(tmp_path)
+
+    def test_chunk_size_moves_no_byte(self, workdir, capsys, monkeypatch):
+        def run(tag):
+            out, transcripts = workdir / f"{tag}.csv", workdir / f"{tag}.json"
+            code, stdout = run_cli(["qkd", "--config", str(workdir / "qkd.json"), "--seed", "8",
+                                    "--trials", "10", "--out", str(out),
+                                    "--transcripts", str(transcripts)], capsys)
+            assert code == 0 and stdout == ""
+            return out.read_bytes(), transcripts.read_bytes()
+
+        default = run("default")
+        monkeypatch.setattr(bb84, "_CHUNK", 3)
+        assert run("three") == default
+        assert default[0].decode().splitlines()[10].startswith("9,")
 
     def test_code_files_give_the_steane_run(self, workdir, capsys):
         # Hamming over its dual, read from code files, is the Steane code bit for bit
@@ -493,7 +514,7 @@ class TestBadInput:
                      id="qkd-code-path-number"),
         pytest.param(QKD, {**QKD_IDEAL, "code": {"c1": "no-such-dir/c1.txt", "c2": "c2.txt"}},
                      "no-such-dir/c1.txt", id="qkd-code-file-missing"),
-        # the transcripts file is written before the table, so stdout stays empty
+        # both outputs are opened before the first trial, so stdout stays empty
         pytest.param(QKD + ["--trials", "2", "--transcripts", "{bad}/t.json"], QKD_IDEAL,
                      "bad.json/t.json", id="qkd-transcripts-unwritable"),
         pytest.param(QKD, {"n": 64, "channel": {}}, "missing field 'kind'", id="qkd-no-kind"),
@@ -562,10 +583,27 @@ class TestBadInput:
         assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
         assert "np." not in lines[0]
 
+    # Both outputs are opened before the first trial runs, so a bad path of
+    # either kind leaves neither file holding a byte.
+    @pytest.mark.parametrize("out,transcripts,fragment", [
+        ("nodir/x.csv", "t.json", "nodir/x.csv"),
+        ("x.csv", "nodir/t.json", "nodir/t.json"),
+    ], ids=["out-unwritable", "transcripts-unwritable"])
+    def test_bad_output_path_writes_no_byte(self, tmp_path, capsys, out, transcripts, fragment):
+        (tmp_path / "q.json").write_text(json.dumps(QKD_IDEAL))
+        code = main(["qkd", "--config", str(tmp_path / "q.json"), "--seed", "1", "--trials", "2",
+                     "--out", str(tmp_path / out), "--transcripts", str(tmp_path / transcripts)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
+        for path in (tmp_path / out, tmp_path / transcripts):
+            assert not path.exists() or path.stat().st_size == 0
+
     # Raised by a patch, not by a real input: a code file declaring 10^8 columns
     # allocates 800 MB before its basis runs out of memory.
     @pytest.mark.parametrize("module,name,argv,payload", [
-        (bb84, "run_batch", QKD, json.dumps(QKD_IDEAL)),
+        (bb84, "_run_trials", QKD, json.dumps(QKD_IDEAL)),
         (codes, "_nullspace_basis", ["codes", "--code", "{bad}"], "7 0\n"),
     ], ids=["qkd-batch", "codes-nullspace"])
     def test_memory_error_exits_2_with_one_error_line(self, tmp_path, capsys, monkeypatch,
