@@ -8,12 +8,12 @@ columns as n-character 0/1 strings, optionally followed by a line "H" and n-k
 parity rows.  CSV output is locale free: csv_row writes str cells as given,
 bools as 0/1, Python and NumPy integers as digits and every other value
 through fmt, with 12 significant digits.  JSON output (dump_json) is
-byte-identical to json.dumps(obj, indent=2, sort_keys=True); strings go
-through json's own C escaper.  write_transcripts(transcripts, fh) writes
-exactly dump_json([transcript_to_json(t) for t in transcripts]) plus a
-newline, but builds each transcript's text straight from its arrays and
-takes the transcripts one at a time, so a stream of them is never held
-whole; transcript_to_json and dump_json stay as its reference.
+json.dumps(obj, indent=2, sort_keys=True).  write_transcripts(transcripts,
+fh) writes exactly dump_json([transcript_to_json(t) for t in transcripts])
+plus a newline, but takes the transcripts one at a time, so a stream of them
+is never held whole.  It writes bit strings and index lists straight from
+their arrays, and only the five scalar fields through json.dumps;
+transcript_to_json and dump_json stay as its reference.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 from collections.abc import Iterable
 from typing import TextIO
 
@@ -184,7 +183,8 @@ def _decimals(size: int) -> list[str]:
 
 
 def _transcript_text(t: ProtocolTranscript) -> str:
-    """_json_text(transcript_to_json(t), "\n  "): one element of the top-level list."""
+    """One element of write_transcripts' top-level list: dump_json(transcript_to_json(t))
+    with each line after the first indented two more spaces."""
     decimals = _decimals(t.alice_bits.size)   # every index points into the qubits sent
     cells = []
     for name in _TRANSCRIPT_KEYS:
@@ -193,7 +193,7 @@ def _transcript_text(t: ProtocolTranscript) -> str:
             text = ("[\n      " + ",\n      ".join(map(decimals.__getitem__, v.tolist()))
                     + "\n    ]") if v.size else "[]"
         elif name in _SCALAR_FIELDS:
-            text = _json_text(None if name == "qber_estimate" and np.isnan(v) else v, "")
+            text = json.dumps(None if name == "qber_estimate" and np.isnan(v) else v)
         else:   # bits hold only 0 and 1, which json leaves unescaped
             text = "null" if v is None else f'"{bits_to_str(v)}"'
         cells.append(f'"{name}": {text}')
@@ -210,60 +210,6 @@ def write_transcripts(transcripts: Iterable[ProtocolTranscript], fh: TextIO) -> 
     fh.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _json_text(obj, pad: str) -> str:
-    """obj as json.dumps(indent=2, sort_keys=True) writes it; pad is the line
-    break and indent before obj's closing bracket.
-
-    Types are tested in json's own order, so bool is not an int, float
-    subclasses print through float.__repr__ and tuples are lists.
-    """
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj == math.inf:
-            return "Infinity"
-        if obj == -math.inf:
-            return "-Infinity"
-        return float.__repr__(obj)
-    inner = pad + "  "
-    sep = "," + inner
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if set(map(type, obj)) == {int}:
-            body = sep.join(map(int.__repr__, obj))
-        else:
-            body = sep.join([_json_text(x, inner) for x in obj])
-        return f"[{inner}{body}{pad}]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = sep.join([f"{_encode_str(k)}: {_json_text(obj[k], inner)}" for k in sorted(obj)])
-        return f"{{{inner}{body}{pad}}}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def dump_json(obj, path=None) -> str:
-    """JSON text of obj, byte for byte json.dumps(obj, indent=2, sort_keys=True).
-
-    Dict keys must be str (a non-str key raises TypeError).  With a path the
-    file gets the text plus a trailing newline.
-    """
-    text = _json_text(obj, "\n")
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+def dump_json(obj) -> str:
+    """JSON text of obj: json.dumps(obj, indent=2, sort_keys=True)."""
+    return json.dumps(obj, indent=2, sort_keys=True)

@@ -178,9 +178,7 @@ def holevo_chi(ensemble: Ensemble) -> float:
     information extractable from the ensemble by any measurement.
     """
     probs, states = _validate_ensemble(ensemble)
-    # each member's cached spectrum equals its row of a stacked eigvalsh bit for bit
-    mix = np.linalg.eigvalsh(_mix(probs, np.stack([s.mat for s in states])))[::-1]
-    return float(_chi(probs, np.stack([clamp_spectrum(mix)] + [s.eigenvalues() for s in states])))
+    return float(_holevo(probs, np.stack([s.mat for s in states])))
 
 
 def entropy_exchange(rho, op: QuantumChannel) -> float:

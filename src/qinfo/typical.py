@@ -231,11 +231,11 @@ class ShannonScheme:
         self.model = model
         self.rate = rate
         self.index_bits = int(math.floor(rate * model.block_length))
-        self._capacity = capacity = (1 << self.index_bits) - 1  # index 0 is reserved
         count, prob = count[typical], prob[typical]
-        size = self.set_size = int(count.sum())
+        size = self._capacity = self.set_size = int(count.sum())
         self.set_mass = self.reliability = math.fsum((count * prob).tolist())
-        if size > capacity:
+        if size.bit_length() > self.index_bits:   # size > 2^bits - 1, built only when it binds
+            self._capacity = capacity = (1 << self.index_bits) - 1  # index 0 is reserved
             if rate > model.entropy:
                 raise CapacityError(
                     f"typical set ({size}) exceeds {capacity} indices at rate {rate} > H")

@@ -619,6 +619,18 @@ class TestTranscriptWriter:
         assert buf.getvalue() == reference_text(batch)
         assert taken_at_write == [1, 2, 3, 4, 5, 5]   # one write per transcript, then "]"
 
+    @pytest.mark.parametrize("qber", [np.nan, -0.0, 5e-324], ids=["nan", "minus-zero", "subnormal"])
+    def test_escaped_scalars_equal_dump_json(self, qber):
+        # no real run sends an escaped character or a 71-bit seed through the scalar path
+        bits = np.array([1, 0, 1, 1], np.uint8)
+        t = bb84.ProtocolTranscript(
+            config_seed=2 ** 70, alice_bits=bits, alice_bases=bits, bob_bases=bits,
+            bob_bits=bits, sift_mask=bits, aborted=True,
+            abort_reason='quote " backslash \\ newline \n e-acute \u00e9',
+            check_indices=np.array([0, 3]), keep_indices=np.array([2]), disagreements=1,
+            qber_estimate=qber)
+        assert written([t]) == reference_text([t])
+
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_numpy_integer_seed_exports_like_the_python_int(self, case):
         ch = oracle_channel(case)

@@ -144,15 +144,8 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             formats.dump_json(obj)
 
-    def test_non_str_keys_rejected(self):
-        with pytest.raises(TypeError):
-            formats.dump_json({1: "a"})
-
-    def test_file_gets_text_and_newline(self, tmp_path):
-        obj = {"b": [1, 2], "a": "\u00e9"}
-        text = formats.dump_json(obj, tmp_path / "out.json")
-        assert text == json_text(obj)
-        assert (tmp_path / "out.json").read_text() == text + "\n"
+    def test_non_str_keys_equal_json_dumps(self):
+        assert formats.dump_json({1: "a"}) == json_text({1: "a"})
 
 
 # stdout of the table commands in both formats, captured before their csv and
@@ -353,6 +346,15 @@ class TestCompressCommand:
                   else "n,epsilon,set_size,typical_mass,reliability")
         assert run_cli(["compress", "--probs", "[1]", "--blocks", "1,24", "--eps", "0.3",
                         *quantum], capsys) == (0, f"{header}\n1,0.3,1,1,1\n24,0.3,1,1,1\n")
+
+    def test_huge_finite_rate_prints_the_unbound_row(self, capsys):
+        # 2^floor(rate n) - 1 indices are built only when they bind
+        args = ["compress", "--probs", "[0.5,0.5]", "--blocks", "4", "--eps", "0.3", "--rate"]
+        for rate in ["2", "1e300"]:
+            assert run_cli([*args, rate], capsys) == (
+                0, "n,epsilon,set_size,typical_mass,reliability\n4,0.3,16,1,1\n")
+        scheme = typical.shannon_scheme(typical.SourceModel((0.5, 0.5), 4, 0.3), 1e300)
+        assert len(scheme.included) == scheme.set_size == 16
 
     def test_classical_sweep(self, capsys):
         code, out = run_cli(["compress", "--probs", "[0.75,0.25]", "--blocks", "4,8",
