@@ -5,7 +5,8 @@ epsilon-typical when its per-symbol surprisal sits within epsilon of the source
 entropy.  Typicality, probability and the Schumacher overlap factor depend
 only on a block's composition, so every summary number (a ``ShannonScheme``'s
 size, mass and reliability, ``schumacher_summary``'s rank, mass and fidelity)
-is an exact-count sum over O(n^(a-1)) type classes, not a^n sequences.
+is an exact-count sum over O(n^(a-1)) type classes, not a^n sequences.  The
+class table takes one stage per symbol, its class sizes products of binomials.
 ``typical_set``, a scheme's index map and the dense d^n x d^n matrices of
 ``typical_subspace_projector`` and ``schumacher_compress`` (d^n capped at 256)
 read one lexicographic table of every sequence; ``typical_set_mass`` sums it
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import compress, product
 
 import numpy as np
@@ -126,31 +127,39 @@ def _typical_table(model: SourceModel) -> tuple[np.ndarray, np.ndarray]:
     return _flags(total, model), prob
 
 
+@cache
+def _binomials() -> np.ndarray:
+    """C(i, j) for i, j <= ENUMERATION_CAP_BITS, the longest block the cap admits."""
+    k = range(ENUMERATION_CAP_BITS + 1)
+    table = np.array([[math.comb(i, j) for j in k] for i in k], dtype=np.int64)
+    table.flags.writeable = False   # one array serves every call
+    return table
+
+
 def _class_table(model: SourceModel, *weights: np.ndarray):
     """Flag, size, probability and per-symbol weight products of each type class.
 
-    A class is built as its sorted member, like ``_typical_table`` but appending
-    no symbol below the last, so its flag and probability equal the full table's
-    entry for that member bit for bit.  Its size n!/prod(c_i!) grows as
-    count * k // run, run being the length of the trailing run of equal symbols.
+    A class is its sorted member 0^c0 1^c1 ..., built one symbol at a time: stage
+    s extends each partial class by every count of s that fits, highest first, so
+    rows come in lexicographic order of sorted members.  ``accumulate`` carries the
+    surprisal and products along each run from the left, so a class's flag and
+    probability equal ``_typical_table``'s entry for its sorted member bit for bit.
+    Its size n!/prod(c_i!) is the product of its stages' binomials C(left, c_s).
     """
     p, sur = _symbol_surprisals(model)
-    step = np.array([p, *weights])
-    acc = np.array([[0.0]] + [[1.0]] * len(step))   # surprisal, then products
-    last = run = np.zeros(1, dtype=np.int64)
-    count = np.ones(1, dtype=np.int64)
-    for k in range(1, model.block_length + 1):
-        width = p.size - last
-        end = width.cumsum()
-        first = end - width   # each row's first child repeats its last symbol
-        sym = np.arange(end[-1]) - (first - last).repeat(width)
-        grown = np.ones(sym.size, dtype=np.int64)
-        grown[first] += run
-        count = count.repeat(width) * k // grown
-        acc = acc.repeat(width, axis=1)
-        acc[0] += sur.take(sym)
-        acc[1:] *= step.take(sym, axis=1)
-        last, run = sym, grown
+    step = np.array([sur, p, *weights])
+    acc = np.array([[0.0]] + [[1.0]] * (len(step) - 1))   # surprisal, then products
+    left, count = np.full(1, model.block_length), np.ones(1, dtype=np.int64)
+    runs = np.arange(model.block_length, -1, -1)   # counts of one symbol, highest first
+    for s in range(p.size):   # the last symbol takes every place left
+        fits = (runs == left[:, None]) if s == p.size - 1 else (runs <= left[:, None])
+        grid = step[:, s, None, None].repeat(left.size, 1).repeat(runs.size, 2)
+        grid[:, :, 0] = acc
+        np.add.accumulate(grid[0], axis=1, out=grid[0])
+        np.multiply.accumulate(grid[1:], axis=2, out=grid[1:])
+        acc = grid[:, :, ::-1][:, fits]
+        count = (count[:, None] * _binomials()[left[:, None], runs])[fits]
+        left = (left[:, None] - runs)[fits]
     return (_flags(acc[0], model), count, *acc[1:])
 
 
@@ -230,7 +239,8 @@ class ShannonScheme:
             raise ValueError("rate times block length must be at least 1 bit")
         self.model = model
         self.rate = rate
-        self.index_bits = int(math.floor(rate * model.block_length))
+        # held at cap + 1 bits, which index any set, so rate * n overflowing to inf is harmless
+        self.index_bits = int(math.floor(min(rate * model.block_length, ENUMERATION_CAP_BITS + 1)))
         count, prob = count[typical], prob[typical]
         size = self._capacity = self.set_size = int(count.sum())
         self.set_mass = self.reliability = math.fsum((count * prob).tolist())

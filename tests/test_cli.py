@@ -350,11 +350,13 @@ class TestCompressCommand:
     def test_huge_finite_rate_prints_the_unbound_row(self, capsys):
         # 2^floor(rate n) - 1 indices are built only when they bind
         args = ["compress", "--probs", "[0.5,0.5]", "--blocks", "4", "--eps", "0.3", "--rate"]
-        for rate in ["2", "1e300"]:
+        # rate * n overflows to inf from 1e308 on
+        for rate in ["2", "1e300", "1e308", repr(sys.float_info.max)]:
             assert run_cli([*args, rate], capsys) == (
                 0, "n,epsilon,set_size,typical_mass,reliability\n4,0.3,16,1,1\n")
-        scheme = typical.shannon_scheme(typical.SourceModel((0.5, 0.5), 4, 0.3), 1e300)
-        assert len(scheme.included) == scheme.set_size == 16
+        for rate in [1e300, 1e308, sys.float_info.max]:
+            scheme = typical.shannon_scheme(typical.SourceModel((0.5, 0.5), 4, 0.3), rate)
+            assert len(scheme.included) == scheme.set_size == 16
 
     def test_classical_sweep(self, capsys):
         code, out = run_cli(["compress", "--probs", "[0.75,0.25]", "--blocks", "4,8",

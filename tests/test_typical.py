@@ -1,5 +1,7 @@
 import math
-from itertools import product
+import operator
+from functools import reduce
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qinfo.typical import (
     CapacityError,
     QuantumSourceModel,
     SourceModel,
+    _class_table,
     _eigen_source,
     _typical_table,
     is_typical,
@@ -296,6 +299,60 @@ class TestShannonScheme:
         # huge epsilon floods the typical set past the index budget
         with pytest.raises(CapacityError):
             shannon_scheme(SourceModel(SKEWED, 6, 5.0), 0.9)
+
+
+class TestClassTable:
+    # Each row against its sorted member, in the order that
+    # combinations_with_replacement lists the sorted members: lexicographic.
+    # Above TABLE_LIMIT the a^n table takes up to half a gigabyte, so the
+    # scalar loops that each of its entries equals stand in for it.
+    TABLE_LIMIT = 2 ** 20
+
+    @staticmethod
+    def boundary_epsilon(members, m, rng) -> float:
+        """The deviation |surprisal/n - H| of a random member, summed from the
+        left in Python, so that member's flag turns on the surprisal's last bit."""
+        deviations = []
+        for member in members:
+            total = 0.0
+            for s in member:
+                total += -math.log2(m.probs[s]) if m.probs[s] > 0 else math.inf
+            deviations.append(abs(total / m.block_length - m.entropy))
+        deviations = [d for d in deviations if 0 < d < math.inf]
+        return float(rng.choice(deviations)) if deviations else float(rng.uniform(0.05, 0.5))
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
+    def test_rows_equal_their_sorted_members_at_every_n_up_to_the_cap(self, a, rng):
+        n = 1
+        while n * math.log2(max(a, 2)) <= ENUMERATION_CAP_BITS:
+            for zero in [False, True][:a]:   # one model with a zero-probability symbol
+                probs = rng.dirichlet(np.ones(a))
+                if zero:
+                    probs[rng.integers(a)] = 0.0
+                    probs /= probs.sum()
+                members = list(combinations_with_replacement(range(a), n))
+                m = SourceModel(tuple(probs.tolist()), n, 0.3)
+                m = SourceModel(m.probs, n, self.boundary_epsilon(members, m, rng))
+                weights = rng.random((2, a))
+                typical, count, prob, *products = _class_table(m, *weights)
+                assert members == sorted(members) and len(count) == len(members)
+                if a ** n <= self.TABLE_LIMIT:
+                    mask, table = _typical_table(m)
+                    index = [reduce(lambda i, s: i * a + s, member, 0) for member in members]
+                    assert typical.tolist() == mask[index].tolist()
+                    assert prob.tolist() == table[index].tolist()
+                else:
+                    assert typical.tolist() == [is_typical(member, m) for member in members]
+                    assert prob.tolist() == [sequence_prob(member, m.probs) for member in members]
+                for w, got in zip(weights.tolist(), products, strict=True):
+                    assert got.tolist() == [
+                        reduce(operator.mul, [w[s] for s in member], 1.0) for member in members]
+                assert count.tolist() == [
+                    math.factorial(n) // math.prod(math.factorial(member.count(s)) for s in range(a))
+                    for member in members]
+            n += 1
+        with pytest.raises(ValueError, match="size cap"):
+            _class_table(SourceModel(m.probs, n, 0.3))
 
 
 class TestTypicalSubspace:
