@@ -263,8 +263,9 @@ class QuantumChannel:
 
     ``kraus`` is a list of dim_out x dim_in matrices with
     ``sum_i E_i^dagger E_i == I``; the channel acts as
-    ``rho -> sum_i E_i rho E_i^dagger``.  The operators are stacked once, with
-    their daggers, into read-only (r, dim_out, dim_in) arrays for ``apply_mat``.
+    ``rho -> sum_i E_i rho E_i^dagger``.  The operators are stacked once into a
+    read-only (r, dim_out, dim_in) array and their daggers into an (r, dim_in,
+    dim_out) one, the two operands of ``apply_mat``'s stacked products.
     """
 
     __slots__ = ("kraus", "_stack", "_stack_dag")
@@ -298,18 +299,24 @@ class QuantumChannel:
     def apply_mat(self, mat: np.ndarray) -> np.ndarray:
         """sum_i E_i mat E_i^dagger on a matrix or a stack of matrices (..., d, d).
 
-        All r products ``E_i @ mat @ E_i^dagger`` come from one broadcast
-        matmul over a leading Kraus axis, then ``_ordered_sum`` adds them in
-        Kraus order.  Each product is the same matrix product on the same
-        operand layouts as in a per-operator loop, and the sum keeps its
-        order, so the result is bit-identical to
-        ``out = 0; for k in kraus: out += k @ mat @ dag(k)``.
+        Two stacked products replace the 2*r*N small ones of r operators on N
+        members.  The left product multiplies the Kraus stack, read as one
+        (r*dim_out, dim_in) matrix, by each member; the right product
+        multiplies each operator's (N*dim_out, dim_in) block by its dagger.
+        ``_ordered_sum`` then adds the r terms in Kraus order.  Both products
+        stack rows of the left operand, never columns, which leaves each
+        entry's arithmetic unchanged, so the result is bit-identical to
+        ``out = 0; for k in kraus: out += k @ mat @ dag(k)``; the tests pin
+        this against that loop.
         """
         mat = np.asarray(mat)
         k, k_dag = self._stack, self._stack_dag
-        axes = (len(k),) + (1,) * (mat.ndim - 2)
-        return _ordered_sum(k.reshape(axes + k.shape[1:]) @ mat
-                            @ k_dag.reshape(axes + k_dag.shape[1:]))
+        (r, dout, din), lead = k.shape, mat.shape[:-2]
+        if mat.shape[-2:] != (din, din):
+            raise ValueError(f"expected shape (..., {din}, {din}), got {mat.shape}")
+        left = k.reshape(r * dout, din) @ mat.reshape(-1, din, din)
+        left = left.reshape(-1, r, dout, din).swapaxes(0, 1).reshape(r, -1, din)
+        return _ordered_sum((left @ k_dag).reshape((r,) + lead + (dout, dout)))
 
     def compose(self, inner: "QuantumChannel") -> "QuantumChannel":
         """Channel equal to self applied after ``inner``."""

@@ -25,7 +25,7 @@ from itertools import compress, product
 import numpy as np
 
 from . import _check
-from .entropy import shannon_entropy, validate_dist
+from .entropy import _neg_sum_plogp, validate_dist
 from .states import DensityMatrix, as_density, clamp_spectrum, dag, eig_hermitian, ket, outer
 
 ENUMERATION_CAP_BITS = 24   # max(a, 2)^n <= 2^24: one symbol still takes n steps
@@ -50,7 +50,9 @@ class SourceModel:
 
     @cached_property   # frozen, so computed once; kept out of == and hash
     def entropy(self) -> float:
-        return shannon_entropy(np.asarray(self.probs))
+        # probs passed validate_dist in __post_init__; its clip only zeroes
+        # entries that _neg_sum_plogp skips anyway
+        return _neg_sum_plogp(np.asarray(self.probs, dtype=float))
 
 
 @dataclass(frozen=True)

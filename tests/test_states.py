@@ -227,7 +227,8 @@ class TestChannels:
         assert out.shape == (4, 3, 3)
         assert all(np.array_equal(o, ch.apply_mat(m)) for o, m in zip(out, stack))
 
-    @pytest.mark.parametrize("din,dout,r", [(2, 2, 4), (3, 3, 9), (4, 4, 2), (2, 3, 2)])
+    @pytest.mark.parametrize("din,dout,r", [(2, 2, 4), (3, 3, 9), (4, 4, 2), (2, 3, 2),
+                                            (3, 2, 3), (5, 5, 3), (8, 8, 2)])
     @pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["single", "stack", "double-stack"])
     def test_apply_mat_bit_identical_to_kraus_loop(self, rng, din, dout, r, lead):
         for _ in range(25):
@@ -236,6 +237,27 @@ class TestChannels:
             mats = rng.normal(size=lead + (din, din)) + 1j * rng.normal(size=lead + (din, din))
             mats[..., 0, :] = 0.0  # exact-zero rows
             assert ch.apply_mat(mats).tobytes() == apply_kraus_loop(ops, mats).tobytes()
+
+    # the (points, d^2) stacks of the HSW objective, and (3, 2) beside (2, 3)
+    @pytest.mark.parametrize("din,dout,r,lead", [(3, 3, 9, (256, 9)), (2, 2, 4, (64, 4)),
+                                                 (3, 2, 3, (5,))])
+    @pytest.mark.parametrize("layout", ["C", "F", "swapaxes"])
+    def test_apply_mat_bit_identical_on_hsw_stacks_in_any_layout(self, rng, din, dout, r,
+                                                                 lead, layout):
+        for _ in range(3):
+            ops = random_kraus(din, dout, r, rng)
+            mats = rng.normal(size=lead + (din, din)) + 1j * rng.normal(size=lead + (din, din))
+            if layout == "F":
+                mats = np.asfortranarray(mats)
+            elif layout == "swapaxes":
+                mats = mats.swapaxes(-1, -2)
+            out = QuantumChannel(ops).apply_mat(mats)
+            assert out.tobytes() == apply_kraus_loop(ops, mats).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (4, 2), (3, 3), (2, 2, 4)])
+    def test_apply_mat_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match=r"expected shape \(\.\.\., 2, 2\)"):
+            depolarizing_channel(0.5).apply_mat(np.zeros(shape))
 
     @pytest.mark.parametrize("din,dout,r", [(2, 2, 4), (3, 3, 9), (2, 3, 2)])
     def test_apply_channel_bit_identical_to_kraus_loop(self, rng, din, dout, r):

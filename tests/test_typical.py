@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import block_state, dense_schumacher_fidelity
+from qinfo.entropy import shannon_entropy
 from qinfo.qentropy import von_neumann_entropy
 from qinfo.states import DensityMatrix, dag, random_unitary
 from qinfo.typical import (
@@ -158,6 +159,11 @@ class TestTypicalSet:
         assert m.entropy is m.entropy and m.entropy == 1.5
         fresh = SourceModel((0.5, 0.25, 0.25), 4, 0.3)
         assert m == fresh and hash(m) == hash(fresh)
+
+    @pytest.mark.parametrize("probs", [(0.5, 0.0, 0.5), (0.75, 0.25 + 1e-13, -1e-13)],
+                             ids=["zero", "negative-dust"])
+    def test_entropy_equals_shannon_entropy(self, probs):
+        assert SourceModel(probs, 4, 0.3).entropy == shannon_entropy(probs)
 
 
 class TestMultinomialCount:
