@@ -12,7 +12,10 @@ the 8 transported signal matrices, and an intercept-resend Eve swaps indices.
 Aborts are ordinary outcomes recorded on the transcript, not errors.  All
 randomness comes from named per-purpose streams derived from the master seed,
 so a transcript can be replayed bit-exactly; note that a pseudorandom
-generator only approximates the ideal of perfectly random protocol bits.
+generator only approximates the ideal of perfectly random protocol bits.  A
+batch builds one Philox generator and re-keys it for each (trial, label)
+stream, which makes the same draws as a fresh rng.stream.  A measurement row
+is one buffer of uniforms compared with the flat p0 table at 2*state + basis.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from . import _check
 from .codes import CssCode, _coset_keys, _decode_rows, _syndrome_lookup, coset_key, decode
 from .entropy import mutual_information
 from .qentropy import coherent_information, holevo_chi
-from .rng import stream
+from .rng import rekey, stream
 from .states import (
     HADAMARD,
     ID2,
@@ -223,22 +226,25 @@ _CHUNK = 256   # trials per stack: temporaries stay a few MB at any batch size
 
 def _run_trials(cfg: ProtocolConfig, ch: ChannelModel, seeds: list) -> list[ProtocolTranscript]:
     """One protocol run per master seed, all as one stack of (trials, qubits) rows."""
-    n, total, code, table = cfg.n, cfg.qubits_sent, cfg.code, _p0_table(ch)
+    n, total, code, flat = cfg.n, cfg.qubits_sent, cfg.code, _p0_table(ch).ravel()
     n_blocks, every = n // code.n, range(len(seeds))
+    gen, u = stream(0), np.empty(total)   # one Philox re-keyed per stream; one row of uniforms
 
-    def draw(label, make=lambda rng, i: rng.integers(0, 2, total), trials=every, width=total):
-        out = np.empty((len(trials), width), np.uint8)   # row j from stream label of trials[j]
+    def draw(label, make=lambda rng, i: rng.integers(0, 2, total), trials=every, width=total,
+             dtype=np.uint8):
+        out = np.empty((len(trials), width), dtype)   # row j from stream label of trials[j]
         for row, i in enumerate(trials):
-            out[row] = make(stream(seeds[i], label), i)
+            out[row] = make(rekey(gen, seeds[i], label), i)
         return out
 
     def measure(label, states, bases):   # floats stay one row long
-        return draw(label, lambda rng, i: rng.random(total) >= table[states[i], bases[i]])
+        p0 = 2 * states + bases   # index of p0[state, basis] in the flat table
+        return draw(label, lambda rng, i: rng.random(total, out=u) >= flat.take(p0[i]))
 
     alice_bits, alice_bases, bob_bases = map(draw, ("alice-bits", "alice-bases", "bob-bases"))
     states, eve = 2 * alice_bases + alice_bits, {}
     if ch.kind == "intercept_resend":
-        mask = draw("eve-mask", lambda rng, i: rng.random(total) < ch.param).view(bool)
+        mask = draw("eve-mask", lambda rng, i: rng.random(total, out=u) < ch.param, dtype=bool)
         eve_bases = draw("eve-bases")
         eve_bits = measure("eve-measure", states, eve_bases)
         states = np.where(mask, 2 * eve_bases + eve_bits, states)
@@ -250,7 +256,7 @@ def _run_trials(cfg: ProtocolConfig, ch: ChannelModel, seeds: list) -> list[Prot
     chosen = np.zeros((len(seeds), 2, n), np.intp)   # check, keep; zero where sifting aborts
     for i in np.flatnonzero(enough):
         sifted = np.flatnonzero(sift_mask[i])
-        chosen[i].flat = sifted[stream(seeds[i], "selection").permutation(sifted.size)[:2 * n]]
+        chosen[i].flat = sifted[rekey(gen, seeds[i], "selection").permutation(sifted.size)[:2 * n]]
     chosen.sort(axis=2)
     disagreements = np.take_along_axis(alice_bits != bob_bits, chosen[:, 0], 1).sum(axis=1)
     good = np.flatnonzero(enough & (disagreements <= cfg.threshold))
@@ -289,9 +295,9 @@ def run_chunks(cfg: ProtocolConfig, ch: ChannelModel,
     transcripts as lists of at most _CHUNK consecutive trials, one stack at a
     time, so a consumer that drops each list runs in constant memory.
     """
-    trials = _check.integer(trials, "trials", 0)
+    trials, gen = _check.integer(trials, "trials", 0), stream(0)
     for at in range(0, trials, _CHUNK):
-        seeds = [int(stream(cfg.master_seed, "trial", str(i)).integers(0, 2 ** 62))
+        seeds = [int(rekey(gen, cfg.master_seed, "trial", str(i)).integers(0, 2 ** 62))
                  for i in range(at, min(at + _CHUNK, trials))]
         yield _run_trials(cfg, ch, seeds)
 

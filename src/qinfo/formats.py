@@ -177,20 +177,26 @@ _SCALAR_FIELDS = {"abort_reason", "aborted", "config_seed", "disagreements", "qb
 
 
 @functools.lru_cache(maxsize=16)
-def _decimals(size: int) -> list[str]:
-    """int.__repr__ of 0 .. size-1, looked up instead of formatted per index."""
-    return [str(i) for i in range(size)]
+def _index_cells(size: int) -> np.ndarray:
+    """Row i is the separator a JSON index list puts before i (a comma, a newline
+    and six spaces), then str(i), in ASCII and NUL-padded to one width W.
+
+    A read-only (size,) array of W-byte rows, so indices are looked up, not formatted.
+    """
+    cells = np.array([f",\n      {i}".encode() for i in range(size)], dtype=bytes)
+    cells.flags.writeable = False
+    return cells
 
 
 def _transcript_text(t: ProtocolTranscript) -> str:
     """One element of write_transcripts' top-level list: dump_json(transcript_to_json(t))
     with each line after the first indented two more spaces."""
-    decimals = _decimals(t.alice_bits.size)   # every index points into the qubits sent
+    index_cells = _index_cells(t.alice_bits.size)   # every index points into the qubits sent
     cells = []
     for name in _TRANSCRIPT_KEYS:
         v = getattr(t, name)
-        if name in _INDEX_FIELDS:
-            text = ("[\n      " + ",\n      ".join(map(decimals.__getitem__, v.tolist()))
+        if name in _INDEX_FIELDS:   # the joined rows minus the first 8-byte separator
+            text = ("[\n      " + index_cells[v].tobytes().replace(b"\0", b"")[8:].decode()
                     + "\n    ]") if v.size else "[]"
         elif name in _SCALAR_FIELDS:
             text = json.dumps(None if name == "qber_estimate" and np.isnan(v) else v)

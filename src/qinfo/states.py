@@ -159,13 +159,17 @@ def _bipartite(rho) -> DensityMatrix:
 def _ordered_sum(terms) -> np.ndarray:
     """terms[0] + terms[1] + ..., added in that order into a complex zero.
 
-    The one accumulation loop behind channel outputs, mixtures and measurement
-    sums, so each adds its terms in operand order and keeps its bits.
+    The one accumulation behind channel outputs, mixtures and measurement sums,
+    so each adds its terms in operand order and keeps its bits.  numpy reduces
+    axis 0 term by term only while another axis runs innermost; along the
+    innermost axis it sums pairwise.  So each complex entry is read as its
+    (real, imaginary) pair, a last axis of length 2 that always runs innermost,
+    whatever the layout or the term size.  The + 0.0 gives an entry that sums
+    to -0.0 the +0.0 that adding into a complex zero gives, whether numpy
+    starts the reduction at its identity or at the first term.
     """
-    out = np.zeros(np.shape(terms[0]), dtype=complex)
-    for t in terms:
-        out += t
-    return out
+    pairs = np.asarray(terms, dtype=complex)[..., None].view(float)
+    return np.add.reduce(pairs, axis=0).view(complex)[..., 0] + 0.0
 
 
 def clamp_spectrum(w: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:

@@ -55,6 +55,14 @@ def holevo_per_member(probs: np.ndarray, mats: np.ndarray) -> float:
     return float(chi)
 
 
+def ordered_sum_loop(terms) -> np.ndarray:
+    """terms[0] + terms[1] + ..., one in-place add at a time into a complex zero."""
+    out = np.zeros(np.shape(terms[0]), dtype=complex)
+    for t in terms:
+        out += t
+    return out
+
+
 def apply_kraus_loop(kraus: list[np.ndarray], mat: np.ndarray) -> np.ndarray:
     """sum_i E_i mat E_i^dagger on a matrix or a stack, one operator at a time."""
     out = np.zeros(np.shape(mat)[:-2] + (kraus[0].shape[0],) * 2, dtype=complex)

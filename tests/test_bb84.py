@@ -35,7 +35,7 @@ from qinfo.codes import (
     repetition_code,
     steane_css,
 )
-from qinfo.rng import stream
+from qinfo.rng import rekey, stream
 from qinfo.states import (
     ID2,
     KET_0,
@@ -389,11 +389,11 @@ class TestNoUnusedWork:
     def test_aborted_trial_never_builds_the_codewords_stream(self, monkeypatch):
         labels = []
 
-        def recording_stream(seed, *names):
+        def recording_rekey(gen, seed, *names):
             labels.append(names)
-            return stream(seed, *names)
+            return rekey(gen, seed, *names)
 
-        monkeypatch.setattr(bb84, "stream", recording_stream)
+        monkeypatch.setattr(bb84, "rekey", recording_rekey)
         t = run_bb84(config(threshold=0), ChannelModel("intercept_resend", 1.0))
         assert t.abort_reason.startswith("check-bit")
         assert ("selection",) in labels and ("codewords",) not in labels
@@ -484,17 +484,20 @@ class TestStackedCoreMatchesSingleTrialOracle:
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_batch_draws_the_oracle_streams_once_per_trial(self, monkeypatch, case):
-        def recorder(counts, real):
-            def recording_stream(seed, *names):
-                counts[seed, names] += 1
-                return real(seed, *names)
-            return recording_stream
-
         cfg, ch = oracle_config(case), oracle_channel(case)
         drawn, expected = Counter(), Counter((cfg.master_seed, ("trial", str(i)))
                                              for i in range(300))
-        monkeypatch.setattr(bb84, "stream", recorder(drawn, stream))
-        monkeypatch.setattr(oracles, "stream", recorder(expected, stream))
+
+        def recording_rekey(gen, seed, *names):
+            drawn[seed, names] += 1
+            return rekey(gen, seed, *names)
+
+        def recording_stream(seed, *names):
+            expected[seed, names] += 1
+            return stream(seed, *names)
+
+        monkeypatch.setattr(bb84, "rekey", recording_rekey)
+        monkeypatch.setattr(oracles, "stream", recording_stream)
         run_batch(cfg, ch, 300)
         for seed in trial_seeds(cfg, 300):
             oracles.run_bb84(dataclasses.replace(cfg, master_seed=seed), ch)

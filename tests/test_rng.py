@@ -1,4 +1,5 @@
-"""The named-stream contract: every call is a fresh Philox generator under a sha256 key."""
+"""The named-stream contract: every call is a fresh Philox generator under a sha256 key,
+and re-keying a used generator gives it exactly that fresh state."""
 
 import hashlib
 import itertools
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from qinfo import rng
-from qinfo.rng import stream
+from qinfo.rng import rekey, stream
 
 
 def keyed(master_seed, *labels) -> np.random.Generator:
@@ -29,6 +30,10 @@ SEEDS = ([0, 1, -1, 42, 2 ** 62 - 1, -(2 ** 63), 2 ** 80, 20240811]
 LABELS = [(), ("alice-bits",), ("alice-bases",), ("bob-measure",), ("eve-mask",),
           ("codewords",), ("trial", "17"), ("trial", 17), ("hsw-restart-3",),
           ("a", "b", "c"), ("", ""), ("tests",)]
+# the six draw kinds every stream comparison checks byte for byte
+DRAWS = (lambda g: g.integers(0, 2, 257), lambda g: g.integers(0, 2 ** 62),
+         lambda g: g.integers(0, 2, (3, 5)), lambda g: g.random(33),
+         lambda g: g.permutation(41), lambda g: g.normal(size=4))
 
 
 class TestStreamMatchesKeyedPhilox:
@@ -38,9 +43,7 @@ class TestStreamMatchesKeyedPhilox:
         for seed, labels in pairs:
             got, want = stream(seed, *labels), keyed(seed, *labels)
             np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)
-            for draw in (lambda g: g.integers(0, 2, 257), lambda g: g.integers(0, 2 ** 62),
-                         lambda g: g.integers(0, 2, (3, 5)), lambda g: g.random(33),
-                         lambda g: g.permutation(41), lambda g: g.normal(size=4)):
+            for draw in DRAWS:
                 a, b = draw(got), draw(want)
                 assert np.asarray(a).dtype == np.asarray(b).dtype
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (seed, labels)
@@ -56,6 +59,26 @@ class TestStreamMatchesKeyedPhilox:
     def test_no_seed_sequence_is_built(self):
         # the key stands in as the seed sequence, so no OS entropy is drawn
         assert isinstance(stream(3, "x").bit_generator.seed_seq, rng._key_type())
+
+
+class TestRekeyMatchesStream:
+    def test_state_and_draws_equal_a_fresh_stream(self):
+        for k, (seed, labels) in enumerate(itertools.product(SEEDS, LABELS)):
+            # 1, 3 or 5 32-bit draws leave a spare half word and a part-used buffer
+            gen = stream(k, "used")
+            gen.integers(0, 2 ** 32, 2 * (k % 3) + 1, dtype=np.uint32)
+            state = gen.bit_generator.state
+            assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+            # then once more after the six draws, as a loop over streams re-keys
+            for _ in range(2):
+                assert rekey(gen, seed, *labels) is gen
+                want = stream(seed, *labels)
+                np.testing.assert_equal(gen.bit_generator.state, want.bit_generator.state)
+                for draw in DRAWS:
+                    a, b = draw(gen), draw(want)
+                    assert np.asarray(a).dtype == np.asarray(b).dtype
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (seed, labels)
+                np.testing.assert_equal(gen.bit_generator.state, want.bit_generator.state)
 
 
 class TestKeyRequests:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qinfo import qentropy, states
 from qinfo.states import (
     HADAMARD,
     ID2,
@@ -11,6 +12,7 @@ from qinfo.states import (
     TOL_RECON,
     DensityMatrix,
     QuantumChannel,
+    _ordered_sum,
     apply_channel,
     apply_unitary,
     check_measurement,
@@ -38,7 +40,7 @@ from qinfo.states import (
 )
 
 from conftest import bell_state, random_kraus
-from oracles import apply_kraus_loop
+from oracles import apply_kraus_loop, ordered_sum_loop
 
 
 class TestDensityMatrix:
@@ -285,6 +287,72 @@ class TestChannels:
             ch = random_channel(3, 2, rng)
             out = apply_channel(rho, ch)          # constructor re-validates both
             assert abs(np.trace(out.mat) - 1) < 1e-9
+
+
+def planted(shape, rng) -> np.ndarray:
+    """Complex entries over 16 decades, about a third of their parts +0.0 or -0.0."""
+    parts = rng.normal(size=shape + (2,)) * 10.0 ** rng.integers(-8, 9, shape + (2,))
+    zero = rng.random(parts.shape) < 0.35
+    parts[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    return parts.view(complex)[..., 0]
+
+
+def assert_same_bits(got, want):
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+class TestOrderedSum:
+    """_ordered_sum adds in operand order: oracles.ordered_sum_loop, byte for byte."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (2,), (2, 2), (3, 3), (4, 1), (4, 2, 2)])
+    def test_stacks_and_lists_of_1_to_16_terms(self, shape, rng):
+        # one-entry terms are the case where numpy's own reduce would sum pairwise
+        for r in range(1, 17):
+            for _ in range(8):
+                terms = planted((r,) + shape, rng)
+                for given in (terms, list(terms), list(terms.real)):
+                    assert_same_bits(_ordered_sum(given), ordered_sum_loop(given))
+            # every part -0.0: the sum is +0.0, as adding into a complex zero gives
+            negative = np.full((r,) + shape, complex(-0.0, -0.0))
+            assert_same_bits(_ordered_sum(negative), ordered_sum_loop(negative))
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed", "reversed", "strided"])
+    def test_any_layout(self, layout, rng):
+        for r in range(1, 17):
+            for shape in [(1,), (5,), (1, 1), (3, 3)]:
+                base = planted((r,) + shape, rng)
+                terms = {"fortran": lambda: np.asfortranarray(base),
+                         "transposed": lambda: base.T.copy().T,
+                         "reversed": lambda: base[::-1].copy()[::-1],
+                         "strided": lambda: np.repeat(base, 2, axis=-1)[..., ::2]}[layout]()
+                assert_same_bits(_ordered_sum(terms), ordered_sum_loop(base))
+
+    def test_call_sites_keep_their_bits(self, monkeypatch, rng):
+        calls = []
+        # apply_mat: (r, *lead, d_out, d_out) Kraus terms, a channel to dimension 1 included
+        for din, dout, r in [(2, 2, 1), (2, 2, 4), (3, 3, 9), (5, 1, 5), (1, 3, 4), (2, 3, 16)]:
+            ch = QuantumChannel(random_kraus(din, dout, r, rng))
+            for lead in [(), (1,), (9,), (3, 4)]:
+                calls.append((ch.apply_mat, planted(lead + (din, din), rng)))
+        # _mix: members first, through a swapped view when a stack axis leads
+        for d in (1, 2, 3):
+            for m in (1, 4, 9):
+                for lead in [(), (1,), (3,), (64,)]:
+                    probs = rng.random(lead + (m,))
+                    mats = planted(lead + (m, d, d), rng)
+                    calls.append((qentropy._mix, probs, mats))
+                    if lead:
+                        calls.append((qentropy._mix, probs, mats[0]))
+        for d in (1, 2, 3, 4):
+            u = random_unitary(d, rng)
+            normal = u @ np.diag(rng.normal(size=d) + 1j * rng.normal(size=d)) @ dag(u)
+            calls.append((lambda a: cyclic_averaging(a)[1], normal))
+            calls.append((purify, random_density_matrix(d, rng)))
+        got = [f(*args) for f, *args in calls]
+        monkeypatch.setattr(states, "_ordered_sum", ordered_sum_loop)
+        monkeypatch.setattr(qentropy, "_ordered_sum", ordered_sum_loop)
+        for g, (f, *args) in zip(got, calls):
+            assert_same_bits(g, f(*args))
 
 
 class TestPurifySchmidt:
