@@ -10,12 +10,11 @@ state): the Born probabilities come from a 4 x 2 table, one _born_p0 call on
 the 8 transported signal matrices, and an intercept-resend Eve swaps indices.
 
 Aborts are ordinary outcomes recorded on the transcript, not errors.  All
-randomness comes from named per-purpose streams derived from the master seed,
-so a transcript can be replayed bit-exactly; note that a pseudorandom
-generator only approximates the ideal of perfectly random protocol bits.  A
-batch builds one Philox generator and re-keys it for each (trial, label)
-stream, which makes the same draws as a fresh rng.stream.  A measurement row
-is one buffer of uniforms compared with the flat p0 table at 2*state + basis.
+randomness comes from named per-purpose streams of the master seed, so a
+transcript replays bit-exactly (a pseudorandom generator only approximates
+ideal protocol bits).  A batch re-keys one Philox per (trial, label) stream:
+a row of fair bits is rng.bits of its raw words, and a measurement row is one
+buffer of uniforms compared with the flat p0 table at 2*state + basis.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from . import _check
 from .codes import CssCode, _coset_keys, _decode_rows, _syndrome_lookup, coset_key, decode
 from .entropy import mutual_information
 from .qentropy import coherent_information, holevo_chi
-from .rng import rekey, stream
+from .rng import bits, rekey, stream
 from .states import (
     HADAMARD,
     ID2,
@@ -106,7 +105,8 @@ class ProtocolConfig:
 
     def __post_init__(self):
         _check.integer(self.n, "n", 1)
-        _check.real(self.delta, "delta", 0)
+        if not math.isfinite((4 + _check.real(self.delta, "delta", 0)) * self.n):
+            raise ValueError(f"delta must keep (4 + delta) * {self.n} finite, got {self.delta}")
         if _check.integer(self.threshold, "threshold", 0) >= self.n:
             raise ValueError(f"threshold must be < n = {self.n}, got {self.threshold}")
         _check.integer(self.master_seed, "master_seed")
@@ -230,11 +230,11 @@ def _run_trials(cfg: ProtocolConfig, ch: ChannelModel, seeds: list) -> list[Prot
     n_blocks, every = n // code.n, range(len(seeds))
     gen, u = stream(0), np.empty(total)   # one Philox re-keyed per stream; one row of uniforms
 
-    def draw(label, make=lambda rng, i: rng.integers(0, 2, total), trials=every, width=total,
-             dtype=np.uint8):
+    def draw(label, make=None, trials=every, width=total, dtype=np.uint8):
         out = np.empty((len(trials), width), dtype)   # row j from stream label of trials[j]
-        for row, i in enumerate(trials):
-            out[row] = make(rekey(gen, seeds[i], label), i)
+        for row, i in enumerate(trials):   # fair bits unless make says otherwise
+            rng = rekey(gen, seeds[i], label)
+            out[row] = bits(rng, width) if make is None else make(rng, i)
         return out
 
     def measure(label, states, bases):   # floats stay one row long
@@ -260,8 +260,7 @@ def _run_trials(cfg: ProtocolConfig, ch: ChannelModel, seeds: list) -> list[Prot
     chosen.sort(axis=2)
     disagreements = np.take_along_axis(alice_bits != bob_bits, chosen[:, 0], 1).sum(axis=1)
     good = np.flatnonzero(enough & (disagreements <= cfg.threshold))
-    msgs = draw("codewords", lambda rng, i: rng.integers(0, 2, n_blocks * code.c1.k), good,
-                n_blocks * code.c1.k).reshape(-1, code.c1.k)
+    msgs = draw("codewords", trials=good, width=n_blocks * code.c1.k).reshape(-1, code.c1.k)
     kept = chosen[good, 1, :n_blocks * code.n]
     x_alice, x_bob = (np.take_along_axis(x[good], kept, 1) for x in (alice_bits, bob_bits))
     blocks = (a.reshape(good.size, n_blocks, *a.shape[1:]) for a in _reconcile_blocks(

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import math
 from collections import Counter
 
 import numpy as np
@@ -212,6 +213,13 @@ class TestProtocolRuns:
     def test_key_block_shorter_than_code_block_rejected(self):
         with pytest.raises(ValueError, match="shorter than one code block"):
             config(n=6, threshold=0)
+
+    @pytest.mark.parametrize("delta", [1e308, 1.7976931348623157e308])
+    def test_delta_overflowing_the_qubit_count_rejected(self, delta):
+        # (4 + delta) * n is inf, which qubits_sent could not round to a count
+        with pytest.raises(ValueError, match=r"delta must keep \(4 \+ delta\) \* 64 finite"):
+            config(delta=delta)
+        assert config(delta=1e300).qubits_sent == math.ceil((4 + 1e300) * 64)
 
     @pytest.mark.parametrize("code,fragment", [
         (CssCode(hamming_7_4(), dual_code(hamming_7_4()), t=2), "correction radius"),

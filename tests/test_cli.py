@@ -508,6 +508,9 @@ class TestBadInput:
                      "must be numbers", id="qkd-param-list"),
         pytest.param(QKD, {"n": 64, "delta": float("inf"), "channel": {"kind": "ideal"}},
                      "finite delta", id="qkd-delta-infinite"),
+        pytest.param(QKD, {"n": 64, "delta": 1e308, "channel": {"kind": "ideal"}},
+                     "delta must keep (4 + delta) * 64 finite, got 1e+308",
+                     id="qkd-delta-overflows-qubit-count"),
         pytest.param(QKD, {"n": 3, "channel": {"kind": "ideal"}}, "shorter than one code block",
                      id="qkd-n-below-code-block"),
         pytest.param(QKD, {"channel": {"kind": "ideal"}}, "missing field 'n'", id="qkd-no-n"),

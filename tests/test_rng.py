@@ -1,5 +1,6 @@
 """The named-stream contract: every call is a fresh Philox generator under a sha256 key,
-and re-keying a used generator gives it exactly that fresh state."""
+re-keying a used generator gives it exactly that fresh state, and ``bits`` reads the
+fair bits of ``integers(0, 2, k)`` off its raw words."""
 
 import hashlib
 import itertools
@@ -11,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qinfo import rng
-from qinfo.rng import rekey, stream
+from qinfo import bb84, rng
+from qinfo.codes import steane_css
+from qinfo.rng import bits, rekey, stream
 
 
 def keyed(master_seed, *labels) -> np.random.Generator:
@@ -79,6 +81,76 @@ class TestRekeyMatchesStream:
                     assert np.asarray(a).dtype == np.asarray(b).dtype
                     assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (seed, labels)
                 np.testing.assert_equal(gen.bit_generator.state, want.bit_generator.state)
+
+
+class TestKeyWords:
+    def test_key_is_two_python_ints_read_as_native_uint64(self):
+        high = 0
+        for seed, labels in itertools.product(SEEDS, LABELS):
+            words = rng._key(seed, *labels)
+            assert type(words) is tuple and [type(w) for w in words] == [int, int]
+            want = keyed(seed, *labels).bit_generator.state["state"]["key"]
+            assert np.array(words, dtype=np.uint64).tobytes() == want.tobytes()
+            high += max(words) >= 2 ** 63
+        assert high >= 100   # words the int64 range cannot hold reach Philox too
+
+    def test_rekey_from_words_at_or_above_2_63_equals_stream(self):
+        gen = stream(0)
+        pairs = [(s, labels) for s, labels in itertools.product(SEEDS, LABELS)
+                 if max(rng._key(s, *labels)) >= 2 ** 63]
+        assert len(pairs) >= 100
+        for seed, labels in pairs:
+            want = stream(seed, *labels)
+            np.testing.assert_equal(rekey(gen, seed, *labels).bit_generator.state,
+                                    want.bit_generator.state)
+            assert gen.random(9).tobytes() == want.random(9).tobytes()
+
+
+class TestBitsMatchIntegers:
+    LENGTHS = (0, 1, 2, 3, 36, 292, 293, 2559, 2560)
+
+    def test_bits_after_rekey_equal_integers_0_2(self):
+        gen = stream(0)
+        for seed, labels in itertools.product(SEEDS, LABELS):
+            for k in self.LENGTHS:
+                got = bits(rekey(gen, seed, *labels), k)
+                fresh = stream(seed, *labels)
+                want = fresh.integers(0, 2, k)
+                assert got.shape == (k,) and got.astype(want.dtype).tobytes() == want.tobytes(), (
+                    seed, labels, k)
+                # both read the same ceil(k/2) 64-bit words
+                assert (gen.bit_generator.state["state"]["counter"].tobytes()
+                        == fresh.bit_generator.state["state"]["counter"].tobytes())
+
+    def test_bits_are_read_low_half_first(self):
+        raw = stream(5, "x").bit_generator.random_raw(2)
+        want = [(int(w) >> shift) & 1 for w in raw for shift in (31, 63)]
+        assert bits(stream(5, "x"), 4).tolist() == want
+
+
+class TestLabelTags:
+    def test_labels_join_with_a_colon(self):
+        assert rng._key(7, "a:b") == rng._key(7, "a", "b") != rng._key(7, "ab")
+
+    def test_the_labels_qinfo_uses_name_distinct_tags(self, monkeypatch):
+        # every BB84 label, recorded from a batch that reaches each draw
+        used = set()
+
+        def recording_rekey(gen, seed, *labels):
+            used.add(labels)
+            return rekey(gen, seed, *labels)
+
+        monkeypatch.setattr(bb84, "rekey", recording_rekey)
+        cfg = bb84.ProtocolConfig(n=14, delta=1.0, threshold=3, code=steane_css(), master_seed=1)
+        bb84.run_batch(cfg, bb84.ChannelModel("intercept_resend", 0.0), 3)
+        bb84_labels = {labels for labels in used if labels[0] != "trial"}
+        assert bb84_labels == {
+            (name,) for name in ("alice-bits", "alice-bases", "bob-bases", "eve-mask", "eve-bases",
+                                 "eve-measure", "bob-measure", "selection", "codewords")}
+        labels = (bb84_labels | {("trial", str(i)) for i in range(2000)}
+                  | {(f"hsw-restart-{r}",) for r in range(2000)})
+        assert len({":".join(parts) for parts in labels}) == len(labels)
+        assert len({rng._key(1, *parts) for parts in labels}) == len(labels)
 
 
 class TestKeyRequests:
