@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import reprlib
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -104,9 +105,11 @@ class ProtocolConfig:
     master_seed: int
 
     def __post_init__(self):
-        _check.integer(self.n, "n", 1)
+        if _check.integer(self.n, "n", 1) > sys.float_info.max:   # exact: no float built
+            raise ValueError(f"n must be <= {sys.float_info.max:g}, got {reprlib.repr(self.n)}")
         if not math.isfinite((4 + _check.real(self.delta, "delta", 0)) * self.n):
-            raise ValueError(f"delta must keep (4 + delta) * {self.n} finite, got {self.delta}")
+            raise ValueError(f"delta must keep (4 + delta) * {reprlib.repr(self.n)} finite, "
+                             f"got {self.delta}")
         if _check.integer(self.threshold, "threshold", 0) >= self.n:
             raise ValueError(f"threshold must be < n = {self.n}, got {self.threshold}")
         _check.integer(self.master_seed, "master_seed")

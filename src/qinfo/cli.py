@@ -93,14 +93,10 @@ def cmd_compress(args) -> int:
     blocks = [int(x) for x in args.blocks.split(",")]
     if args.quantum:
         header = "n,epsilon,rank,typical_mass,fidelity"
-        source = DensityMatrix(np.diag(np.asarray(probs, dtype=complex)))
-        rows = (typical.schumacher_summary(typical.QuantumSourceModel(source, n, args.eps))
-                for n in blocks)
+        rows = typical.schumacher_sweep(np.diag(np.array(probs, dtype=complex)), blocks, args.eps)
     else:
         header = "n,epsilon,set_size,typical_mass,reliability"
-        schemes = (typical.shannon_scheme(typical.SourceModel(probs, n, args.eps), args.rate)
-                   for n in blocks)
-        rows = ((s.set_size, s.set_mass, s.reliability) for s in schemes)
+        rows = typical.shannon_sweep(probs, blocks, args.eps, args.rate)
     _emit([header] + [formats.csv_row([n, args.eps, *row]) for n, row in zip(blocks, rows)],
           args.out)
     return 0
@@ -133,8 +129,10 @@ def cmd_qkd(args) -> int:
                for v in (n, conf.get("threshold", 0), delta, param)):
         raise ValueError("qkd config n, threshold, delta and param must be numbers: "
                          "integers n and threshold, finite delta and param")
-    cfg = bb84.ProtocolConfig(n=n, delta=delta, threshold=conf.get("threshold", round(0.11 * n)),
-                              code=css, master_seed=args.seed)
+    # no default threshold for an n beyond a float, which ProtocolConfig rejects by name
+    threshold = conf.get("threshold", round(0.11 * n) if n <= sys.float_info.max else 0)
+    cfg = bb84.ProtocolConfig(n=n, delta=delta, threshold=threshold, code=css,
+                              master_seed=args.seed)
     ch = bb84.ChannelModel(conf["channel"]["kind"], param)
     header = ["trial,aborted,sifted_count,qber,key_len,keys_match"]
     qbers, totals = [], collections.Counter()

@@ -1,17 +1,10 @@
 """Typical sequences, block compression schemes, and their quantum analogues.
 
-A source emits i.i.d. symbols from a finite alphabet; a block of n symbols is
-epsilon-typical when its per-symbol surprisal sits within epsilon of the source
-entropy.  Typicality, probability and the Schumacher overlap factor depend
-only on a block's composition, so every summary number (a ``ShannonScheme``'s
-size, mass and reliability, ``schumacher_summary``'s rank, mass and fidelity)
-is an exact-count sum over O(n^(a-1)) type classes, not a^n sequences.  The
-class table takes one stage per symbol, its class sizes products of binomials.
-``typical_set``, a scheme's index map and the dense d^n x d^n matrices of
-``typical_subspace_projector`` and ``schumacher_compress`` (d^n capped at 256)
-read one lexicographic table of every sequence; ``typical_set_mass`` sums it
-member by member as the reference for the class sums.  Asymptotic statements
-are checked as monotone trends over small n, never as limits.
+A block of n i.i.d. symbols is epsilon-typical when its per-symbol surprisal
+is within epsilon of the entropy.  That, its probability and its Schumacher
+overlap depend only on its composition, so summary numbers are exact sums over
+type classes, one table of them serving a whole sweep of block lengths; lists of
+sequences and the dense d^n x d^n matrices (d^n <= 256) read every sequence.
 """
 
 from __future__ import annotations
@@ -82,11 +75,7 @@ def _symbol(s) -> int:
 
 
 def is_typical(seq, model: SourceModel) -> bool:
-    """|surprisal(seq)/n - H| <= epsilon.
-
-    Sequences containing a zero-probability symbol have infinite surprisal and
-    are never typical.
-    """
+    """|surprisal(seq)/n - H| <= epsilon; a zero-probability symbol is never typical."""
     p = np.asarray(model.probs, dtype=float)
     n = model.block_length
     if len(seq) != n:
@@ -102,31 +91,31 @@ def is_typical(seq, model: SourceModel) -> bool:
     return abs(total / n - model.entropy) <= model.epsilon
 
 
-def _symbol_surprisals(model: SourceModel) -> tuple[np.ndarray, np.ndarray]:
-    """Symbol probabilities and surprisals, once the block is within the size cap."""
-    if model.block_length * math.log2(max(model.alphabet_size, 2)) > ENUMERATION_CAP_BITS:
+def _check_caps(n: int, alphabet_size: int, dim: int = 1) -> None:
+    """d^n <= 256, then n log2(max(a, 2)) <= 24, building no power or float for a huge n."""
+    if dim > 1 and (n > QUANTUM_DIM_CAP.bit_length() or dim ** n > QUANTUM_DIM_CAP):
+        raise ValueError("dense quantum block above the dimension cap")
+    if n > ENUMERATION_CAP_BITS or n * math.log2(max(alphabet_size, 2)) > ENUMERATION_CAP_BITS:
         raise ValueError("typical set enumeration above the size cap")
-    p = np.asarray(model.probs, dtype=float)
-    return p, np.array([(-math.log2(x) if x > 0.0 else math.inf) for x in p])
 
 
-def _flags(total: np.ndarray, model: SourceModel) -> np.ndarray:
-    n = model.block_length
+def _surprisals(p: np.ndarray) -> np.ndarray:
+    return np.array([(-math.log2(x) if x > 0.0 else math.inf) for x in p])
+
+
+def _flags(total: np.ndarray, n: int, model: SourceModel) -> np.ndarray:
     return np.isfinite(total) & (np.abs(total / n - model.entropy) <= model.epsilon)
 
 
 def _typical_table(model: SourceModel) -> tuple[np.ndarray, np.ndarray]:
-    """Typicality flag and probability of every length-n sequence, lexicographic.
-
-    Built one symbol at a time from the left, so each entry equals the scalar
-    loops of ``is_typical`` and ``sequence_prob`` bit for bit.
-    """
-    p, sur = _symbol_surprisals(model)
-    total, prob = np.zeros(1), np.ones(1)
+    """Flag and probability of each length-n sequence, lexicographic, as ``is_typical``."""
+    _check_caps(model.block_length, model.alphabet_size)
+    p = np.asarray(model.probs, dtype=float)
+    sur, total, prob = _surprisals(p), np.zeros(1), np.ones(1)
     for _ in range(model.block_length):
         total = np.add.outer(total, sur).ravel()
         prob = np.multiply.outer(prob, p).ravel()
-    return _flags(total, model), prob
+    return _flags(total, model.block_length, model), prob
 
 
 @cache
@@ -138,31 +127,45 @@ def _binomials() -> np.ndarray:
     return table
 
 
-def _class_table(model: SourceModel, *weights: np.ndarray):
-    """Flag, size, probability and per-symbol weight products of each type class.
+def _class_tables(model: SourceModel, blocks, *weights: np.ndarray, dim: int = 1):
+    """Flag, size, probability and weight products of each type class, per block
+    length, cut from one table; a failing block raises after the tables before it.
+    Stage s extends each partial class 0^c0 1^c1 ... by every count of s that fits
+    the longest block, highest first, so one length's classes come in lexicographic
+    order and, ``accumulate`` summing along each run, equal ``_typical_table``'s entries."""
+    admitted, failure = [], None
+    try:
+        for n in blocks:
+            _check_caps(_check.integer(n, "block length", 1), model.alphabet_size, dim)
+            admitted.append(n)
+    except ValueError as exc:
+        failure = exc
+    if admitted:
+        p, top = np.asarray(model.probs, dtype=float), max(admitted)
+        step = np.array([_surprisals(p), p, *weights])
+        acc = np.array([[0.0]] + [[1.0]] * (len(step) - 1))   # surprisal, then products
+        used, comp = np.zeros(1, dtype=np.int64), np.zeros((0, 1), dtype=np.int64)
+        runs = np.arange(top, -1, -1)   # counts of one symbol, highest first
+        for s in range(p.size):
+            row, run = np.nonzero(used[:, None] + runs <= top)
+            grid = step[:, s, None, None].repeat(used.size, 1).repeat(top + 1, 2)
+            grid[:, :, 0] = acc
+            np.add.accumulate(grid[0], axis=1, out=grid[0])
+            np.multiply.accumulate(grid[1:], axis=2, out=grid[1:])
+            acc = grid[:, row, runs[run]]   # the entry after runs[run] steps of s
+            comp = np.vstack([comp[:, row], runs[run]])
+            used = used[row] + runs[run]
+        count = _binomials()[np.cumsum(comp[::-1], axis=0)[::-1], comp].prod(axis=0)
+        for n in admitted:
+            rows = used == n
+            yield (_flags(acc[0, rows], n, model), count[rows], *acc[1:, rows])
+    if failure is not None:
+        raise failure
 
-    A class is its sorted member 0^c0 1^c1 ..., built one symbol at a time: stage
-    s extends each partial class by every count of s that fits, highest first, so
-    rows come in lexicographic order of sorted members.  ``accumulate`` carries the
-    surprisal and products along each run from the left, so a class's flag and
-    probability equal ``_typical_table``'s entry for its sorted member bit for bit.
-    Its size n!/prod(c_i!) is the product of its stages' binomials C(left, c_s).
-    """
-    p, sur = _symbol_surprisals(model)
-    step = np.array([sur, p, *weights])
-    acc = np.array([[0.0]] + [[1.0]] * (len(step) - 1))   # surprisal, then products
-    left, count = np.full(1, model.block_length), np.ones(1, dtype=np.int64)
-    runs = np.arange(model.block_length, -1, -1)   # counts of one symbol, highest first
-    for s in range(p.size):   # the last symbol takes every place left
-        fits = (runs == left[:, None]) if s == p.size - 1 else (runs <= left[:, None])
-        grid = step[:, s, None, None].repeat(left.size, 1).repeat(runs.size, 2)
-        grid[:, :, 0] = acc
-        np.add.accumulate(grid[0], axis=1, out=grid[0])
-        np.multiply.accumulate(grid[1:], axis=2, out=grid[1:])
-        acc = grid[:, :, ::-1][:, fits]
-        count = (count[:, None] * _binomials()[left[:, None], runs])[fits]
-        left = (left[:, None] - runs)[fits]
-    return (_flags(acc[0], model), count, *acc[1:])
+
+def _class_table(model: SourceModel, *weights: np.ndarray):
+    """``_class_tables`` of the model's one block."""
+    return next(_class_tables(model, [model.block_length], *weights))
 
 
 def _most_probable(count: np.ndarray, prob: np.ndarray, limit: int) -> np.ndarray:
@@ -187,21 +190,13 @@ def typical_set(model: SourceModel) -> list[tuple[int, ...]]:
 
 
 def typical_set_mass(model: SourceModel) -> float:
-    """Total probability of the typical set, summed member by member with ``math.fsum``.
-
-    The per-member reference for ``ShannonScheme.set_mass``, which sums over
-    type classes; the two agree to within n rounding errors of the mass.
-    """
+    """Typical set mass, member by member: ``ShannonScheme.set_mass``'s reference."""
     return math.fsum(sequence_prob(seq, model.probs) for seq in typical_set(model))
 
 
 def multinomial_count(model: SourceModel) -> tuple[int, float]:
-    """Exact count of sequences with the round(n p) composition, and 2^(nH).
-
-    The ratio of the logarithms approaches 1 as n grows, which is the counting
-    heart of block compression.  Requires the composition to round to integers
-    summing to n.
-    """
+    """Exact count of sequences with the round(n p) composition (which must sum to
+    n), and 2^(nH): the ratio of their logarithms approaches 1 as n grows."""
     n = model.block_length
     comp = [round(n * p) for p in model.probs]
     if sum(comp) != n:
@@ -220,39 +215,16 @@ class CapacityError(ValueError):
 class ShannonScheme:
     """Fixed-rate block compression built on the typical set.
 
-    Sequences in ``included`` (a subset of the typical set) map bijectively to
-    indices 1..len(included), assigned in lexicographic order; index 0 is the
-    reserved failure index that every other sequence, and every sequence with
-    a non-integer or bool symbol, compresses to.  ``reliability`` is the
-    probability that decompression inverts compression.  ``set_size`` and
-    ``set_mass`` are the size and mass of the whole typical set, before an
-    undersized rate trims it, so ``reliability == set_mass`` when nothing is
-    trimmed; all three are sums over type classes.  ``included`` and the index
-    map are built on first use by ``compress`` or ``decompress``; a scheme
-    asked only for its numbers never lists a sequence.
+    The typical sequences in ``included`` (listed on first use) compress in order to
+    1..len(included), any other sequence to 0.  ``reliability`` is the chance that
+    decompression inverts compression; ``set_size`` and ``set_mass`` are untrimmed.
     """
 
     def __init__(self, model: SourceModel, rate: float):
-        # The table's size cap is checked before the rate, so a compress row
-        # that fails both reports the cap.
-        typical, count, prob = _class_table(model)
-        _check.real(rate, "rate")
-        if rate * model.block_length < 1.0:
-            raise ValueError("rate times block length must be at least 1 bit")
-        self.model = model
-        self.rate = rate
-        # held at cap + 1 bits, which index any set, so rate * n overflowing to inf is harmless
-        self.index_bits = int(math.floor(min(rate * model.block_length, ENUMERATION_CAP_BITS + 1)))
-        count, prob = count[typical], prob[typical]
-        size = self._capacity = self.set_size = int(count.sum())
-        self.set_mass = self.reliability = math.fsum((count * prob).tolist())
-        if size.bit_length() > self.index_bits:   # size > 2^bits - 1, built only when it binds
-            self._capacity = capacity = (1 << self.index_bits) - 1  # index 0 is reserved
-            if rate > model.entropy:
-                raise CapacityError(
-                    f"typical set ({size}) exceeds {capacity} indices at rate {rate} > H")
-            kept = _most_probable(count, prob, capacity)
-            self.reliability = math.fsum((kept * prob).tolist())
+        # the table's size cap is checked before the rate, so a row failing both reports the cap
+        self.index_bits, self._capacity, self.set_size, self.set_mass, self.reliability = \
+            _scheme_numbers(model.block_length, model.entropy, rate, *_class_table(model))
+        self.model, self.rate = model, rate
 
     @cached_property
     def included(self) -> list[tuple[int, ...]]:
@@ -277,26 +249,48 @@ class ShannonScheme:
         return None
 
 
+def _scheme_numbers(n: int, entropy: float, rate: float, typical, count, prob):
+    """Index bits and capacity, set size, set mass and reliability at ``rate``."""
+    _check.real(rate, "rate")
+    if rate * n < 1.0:
+        raise ValueError("rate times block length must be at least 1 bit")
+    # held at cap + 1 bits, which index any set, so rate * n overflowing to inf is harmless
+    bits = int(math.floor(min(rate * n, ENUMERATION_CAP_BITS + 1)))
+    count, prob = count[typical], prob[typical]
+    size = capacity = int(count.sum())
+    mass = reliability = math.fsum((count * prob).tolist())
+    if size.bit_length() > bits:   # size > 2^bits - 1, built only when it binds
+        capacity = (1 << bits) - 1   # index 0 is reserved
+        if rate > entropy:
+            raise CapacityError(
+                f"typical set ({size}) exceeds {capacity} indices at rate {rate} > H")
+        reliability = math.fsum((_most_probable(count, prob, capacity) * prob).tolist())
+    return bits, capacity, size, mass, reliability
+
+
 def shannon_scheme(model: SourceModel, rate: float) -> ShannonScheme:
     return ShannonScheme(model, rate)
 
 
+def shannon_sweep(probs, blocks, epsilon: float, rate: float) -> list[tuple[int, float, float]]:
+    """``shannon_scheme(SourceModel(probs, n, epsilon), rate)``'s set size, set mass and
+    reliability, or first error, over the nonempty ``blocks``, from one class table."""
+    model = SourceModel(probs, blocks[0], epsilon)
+    return [_scheme_numbers(n, model.entropy, rate, *table)[2:]
+            for n, table in zip(blocks, _class_tables(model, blocks))]
+
+
 def _eigen_source(q: QuantumSourceModel) -> tuple[np.ndarray, SourceModel]:
     """Eigenvectors of the single-copy state and the classical source of its eigenvalues."""
-    if q.rho.dim ** q.block_length > QUANTUM_DIM_CAP:
-        raise ValueError("dense quantum block above the dimension cap")
+    _check_caps(q.block_length, q.rho.dim, q.rho.dim)
     w, v = eig_hermitian(q.rho.mat)
     w = clamp_spectrum(w)
     return v, SourceModel(tuple(w / w.sum()), q.block_length, q.epsilon)
 
 
 def typical_subspace_projector(q: QuantumSourceModel) -> np.ndarray:
-    """Projector onto the span of typical eigenvector blocks of rho^(x n).
-
-    In the source eigenbasis this reduces exactly to the classical typical
-    set, so its rank equals the classical set size and tr(P rho^(x n)) equals
-    the classical typical mass.
-    """
+    """Projector onto the span of typical eigenvector blocks of rho^(x n): in the
+    eigenbasis, the classical typical set of the eigenvalue source."""
     v, model = _eigen_source(q)
     mask = _typical_table(model)[0]
     vn = reduce(np.kron, [v] * q.block_length, np.ones((1, 1), dtype=complex))
@@ -304,12 +298,8 @@ def typical_subspace_projector(q: QuantumSourceModel) -> np.ndarray:
 
 
 def schumacher_compress(q: QuantumSourceModel, sigma) -> DensityMatrix:
-    """Compression map: project onto the typical subspace, dump the rest on |0>.
-
-    C(sigma) = P sigma P + tr((I-P) sigma) |0><0| with |0> the first
-    computational basis vector of the ambient block space.  Trace preserving
-    by construction; decompression is the identity.
-    """
+    """C(sigma) = P sigma P + tr((I-P) sigma) |0><0|, |0> the first basis vector of
+    the block space: trace preserving, with the identity as decompression."""
     p = typical_subspace_projector(q)
     sig = as_density(sigma).mat
     if sig.shape != p.shape:
@@ -321,17 +311,8 @@ def schumacher_compress(q: QuantumSourceModel, sigma) -> DensityMatrix:
     return DensityMatrix(out)
 
 
-def schumacher_summary(q: QuantumSourceModel,
-                       max_rank: int | None = None) -> tuple[int, float, float]:
-    """Rank, mass tr(P rho^(x n)) and entanglement fidelity of the compression scheme.
-
-    F = mass^2 + sum over dropped eigenvector blocks |v_i> of lam_i^2 |<0|v_i>|^2,
-    each overlap a product of single-copy ones.  ``max_rank`` optionally keeps
-    the most probable blocks instead, for rate-limited experiments.  All three
-    are exact-count sums over the type classes of the eigenvalue source.
-    """
-    v, model = _eigen_source(q)
-    typical, count, lam, overlap = _class_table(model, np.abs(v[0]) ** 2)
+def _summary_numbers(typical, count, lam, overlap, max_rank: int | None = None):
+    """Rank, mass and fidelity from the eigenvalue source's classes; see ``schumacher_summary``."""
     kept = np.where(typical, count, 0)
     if max_rank is not None:
         _check.integer(max_rank, "max_rank", 0)
@@ -339,6 +320,24 @@ def schumacher_summary(q: QuantumSourceModel,
     mass = math.fsum((kept * lam).tolist())
     fid = math.fsum([mass ** 2, *((count - kept) * lam ** 2 * overlap).tolist()])
     return int(kept.sum()), mass, fid
+
+
+def schumacher_summary(q: QuantumSourceModel,
+                       max_rank: int | None = None) -> tuple[int, float, float]:
+    """Rank, mass tr(P rho^(x n)) and entanglement fidelity of the compression scheme:
+    F = mass^2 + sum over dropped eigenvector blocks |v_i> of lam_i^2 |<0|v_i>|^2.
+    ``max_rank`` keeps the most probable blocks instead."""
+    v, model = _eigen_source(q)
+    return _summary_numbers(*_class_table(model, np.abs(v[0]) ** 2), max_rank)
+
+
+def schumacher_sweep(rho, blocks, epsilon: float) -> list[tuple[int, float, float]]:
+    """``schumacher_summary(QuantumSourceModel(rho, n, epsilon))`` at each n in
+    ``blocks``, as ``shannon_sweep`` does, from one eigen-source."""
+    q = QuantumSourceModel(rho, blocks[0], epsilon)
+    v, model = _eigen_source(q)
+    return [_summary_numbers(*table)
+            for table in _class_tables(model, blocks, np.abs(v[0]) ** 2, dim=q.rho.dim)]
 
 
 def schumacher_fidelity(q: QuantumSourceModel, max_rank: int | None = None) -> float:

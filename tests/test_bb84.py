@@ -221,6 +221,14 @@ class TestProtocolRuns:
             config(delta=delta)
         assert config(delta=1e300).qubits_sent == math.ceil((4 + 1e300) * 64)
 
+    @pytest.mark.parametrize("n", [10 ** 400, 2 ** 1024], ids=["401-digit", "2^1024"])
+    def test_key_block_beyond_a_float_rejected_by_name(self, n):
+        # (4 + delta) * n cannot convert n to a float; the message cuts n short
+        with pytest.raises(ValueError) as err:
+            config(n=n, threshold=3)
+        message = str(err.value)
+        assert message.startswith("n must be <= 1.79769e+308, got ") and len(message) < 80
+        assert config(n=2 ** 64, threshold=3).n == 2 ** 64   # a float holds it
     @pytest.mark.parametrize("code,fragment", [
         (CssCode(hamming_7_4(), dual_code(hamming_7_4()), t=2), "correction radius"),
         (CssCode(repetition_code(66), LinearCode(np.zeros((66, 0), dtype=np.uint8)), t=1),

@@ -1,8 +1,11 @@
+import collections
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from qinfo import bb84, cli, codes, formats, typical
 from qinfo.bb84 import ChannelModel, ProtocolConfig, run_batch, run_bb84
 from qinfo.cli import main
 from qinfo.codes import hamming_7_4, repetition_code, steane_css
+from qinfo.typical import ENUMERATION_CAP_BITS, QUANTUM_DIM_CAP
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -374,6 +378,132 @@ class TestCompressCommand:
         assert float(rows[1][4]) > float(rows[0][4])   # fidelity grows with n
 
 
+def compress_argv(probs, blocks, eps, rate=None) -> list[str]:
+    """``qinfo compress`` arguments; rate None sweeps ``--quantum``."""
+    return ["compress", "--probs", json.dumps(list(probs)), "--blocks", ",".join(map(str, blocks)),
+            "--eps", repr(eps), *(["--quantum"] if rate is None else ["--rate", repr(rate)])]
+
+
+def per_block_compress(probs, blocks, eps, rate=None) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of a compress sweep made one block at a time
+    from ``shannon_scheme`` or ``schumacher_summary``, stopping at the first error."""
+    rows = []
+    try:
+        for n in blocks:
+            if rate is None:
+                rho = np.diag(np.array(probs, dtype=complex))
+                row = typical.schumacher_summary(typical.QuantumSourceModel(rho, n, eps))
+            else:
+                s = typical.shannon_scheme(typical.SourceModel(tuple(probs), n, eps), rate)
+                row = (s.set_size, s.set_mass, s.reliability)
+            rows.append(formats.csv_row([n, eps, *row]))
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+    header = ("n,epsilon,rank,typical_mass,fidelity" if rate is None
+              else "n,epsilon,set_size,typical_mass,reliability")
+    return 0, "\n".join([header, *rows]) + "\n", ""
+
+
+class TestCompressSweep:
+    """One class table serves a whole sweep: each printed row, and the first
+    error, equal a loop of one scheme per block length, byte for byte."""
+
+    @staticmethod
+    def run(argv, capsys) -> tuple[int, str, str]:
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @staticmethod
+    def boundary_epsilon(probs, n, rng) -> float:
+        """|surprisal/n - H| of a random sorted member, summed from the left as the
+        tables sum it, so that class's flag turns on the last bit of epsilon."""
+        a = len(probs)
+        counts = rng.multinomial(n, np.ones(a) / a)
+        total = 0.0
+        for s in range(a):
+            for _ in range(counts[s]):
+                total += -math.log2(probs[s]) if probs[s] > 0 else math.inf
+        deviation = abs(total / n - typical.SourceModel(tuple(probs), n, 0.3).entropy)
+        return deviation if 0 < deviation < math.inf else float(rng.uniform(0.05, 0.5))
+
+    def random_sweep(self, rng):
+        a = int(rng.integers(1, 6))
+        if rng.random() < 0.25:   # dyadic: a class's deviation can equal epsilon = k/8 exactly
+            probs = [[1.0], [0.5, 0.5], [0.5, 0.25, 0.25], [0.5, 0.25, 0.125, 0.125],
+                     [0.5, 0.25, 0.125, 0.125, 0.0]][a - 1]
+        else:
+            probs = rng.dirichlet(np.ones(a))
+            if a > 1 and rng.random() < 0.3:
+                probs[rng.integers(a)] = 0.0
+                probs /= probs.sum()
+            probs = probs.tolist()
+        quantum = rng.random() < 0.3
+        cap = int(ENUMERATION_CAP_BITS / math.log2(max(a, 2)))
+        if quantum and a > 1:
+            cap = int(math.log(QUANTUM_DIM_CAP, a) + 1e-9)
+        blocks = rng.integers(1, min(cap, 12) + 1, int(rng.integers(1, 7))).tolist()
+        if rng.random() < 0.5:
+            blocks.append(blocks[0])   # a repeated length
+        if probs[0] in (0.5, 1.0):
+            eps = float(rng.choice([0.125, 0.25, 0.375, 0.5]))
+        else:
+            eps = self.boundary_epsilon(probs, blocks[int(rng.integers(len(blocks)))], rng)
+        if quantum:
+            return probs, blocks, eps, None
+        entropy = typical.SourceModel(tuple(probs), 1, 0.3).entropy
+        rate = max(entropy * float(rng.uniform(0.6, 1.3)), 1.0 / min(blocks))
+        return probs, blocks, eps, rate
+
+    def test_random_sweeps_equal_one_scheme_per_block(self, rng, capsys):
+        outcomes = collections.Counter()
+        for _ in range(300):
+            probs, blocks, eps, rate = self.random_sweep(rng)
+            expected = per_block_compress(probs, blocks, eps, rate)
+            assert self.run(compress_argv(probs, blocks, eps, rate), capsys) == expected, (
+                probs, blocks, eps, rate)
+            rows = [line.split(",") for line in expected[1].splitlines()[1:]]
+            outcomes.update(quantum=rate is None, failed=expected[0] != 0,
+                            trimmed=rate is not None and any(r[3] != r[4] for r in rows))
+        # both schemes, the trimmed rate path and the capacity error all ran
+        assert outcomes["quantum"] >= 50 and outcomes["trimmed"] >= 20, outcomes
+        assert 0 < outcomes["failed"] < 150, outcomes
+
+    @pytest.mark.parametrize("probs,blocks,eps,rate,fragment", [
+        ((0.75, 0.25), [4, 0, 30], 0.3, 0.5, "block length must be >= 1"),
+        ((0.75, 0.25), [0, 4], -0.1, 0.5, "block length must be >= 1"),
+        ((0.75, 0.25), [4, 0], -0.1, 0.5, "epsilon must be"),
+        ((0.75, 0.25), [4, 30, 0], 0.3, 0.5, "above the size cap"),
+        ((0.75, 0.25), [30, 4], 0.3, math.inf, "above the size cap"),
+        ((0.75, 0.25), [4, 30], 0.3, math.inf, "rate must be finite"),
+        ((0.75, 0.25), [6, 4, 30], 0.3, 0.2, "rate times block length"),
+        ((0.75, 0.25), [4, 8, 30], 0.3, 0.85, "typical set (92) exceeds 63 indices"),
+        ((0.75, 0.25), [2, 0, 9], 0.3, None, "block length must be >= 1"),
+        ((0.75, 0.25), [2, 9, 0], 0.3, None, "above the dimension cap"),
+        ((1.0,), [3, 25, 0], 0.3, None, "above the size cap"),
+        ((0.5, 0.5), [4, 10 ** 400, 0], 0.3, 0.5, "above the size cap"),
+    ], ids=["length", "length-before-epsilon", "epsilon", "size-cap", "size-cap-before-rate",
+            "rate-finite", "rate-times-length", "capacity", "quantum-length", "dimension-cap",
+            "quantum-one-symbol-size-cap", "huge-length"])
+    def test_first_failing_block_reports_its_error(self, probs, blocks, eps, rate, fragment,
+                                                   capsys):
+        expected = per_block_compress(probs, blocks, eps, rate)
+        assert expected[0] == 2 and fragment in expected[2]
+        assert self.run(compress_argv(probs, blocks, eps, rate), capsys) == expected
+
+    @pytest.mark.parametrize("n", [10 ** 12, 10 ** 400], ids=["1e12", "401-digit"])
+    @pytest.mark.parametrize("quantum,message", [
+        (False, "typical set enumeration above the size cap"),
+        (True, "dense quantum block above the dimension cap"),
+    ], ids=["classical", "quantum"])
+    def test_huge_block_length_fails_on_the_cap_at_once(self, n, quantum, message, capsys):
+        # neither cap builds d^n or a float of n
+        start = time.perf_counter()
+        got = self.run(compress_argv((0.5, 0.5), [n], 0.3, None if quantum else 1.0), capsys)
+        assert got == (2, "", f"error: {message}\n")
+        assert time.perf_counter() - start < 1.0
+
+
 class TestCapacityCommand:
     def test_bsc(self, workdir, capsys):
         code, out = run_cli(["capacity", "--channel", str(workdir / "bsc.json")], capsys)
@@ -513,6 +643,13 @@ class TestBadInput:
                      id="qkd-delta-overflows-qubit-count"),
         pytest.param(QKD, {"n": 3, "channel": {"kind": "ideal"}}, "shorter than one code block",
                      id="qkd-n-below-code-block"),
+        # 0.11 n, the default threshold, would overflow too; ProtocolConfig names n either way
+        pytest.param(QKD, {"n": 10 ** 400, "channel": {"kind": "ideal"}},
+                     "n must be <= 1.79769e+308, got 100000000000000000...0000000000000000000",
+                     id="qkd-n-beyond-float"),
+        pytest.param(QKD, {"n": 10 ** 400, "threshold": 7, "channel": {"kind": "ideal"}},
+                     "n must be <= 1.79769e+308, got 100000000000000000...0000000000000000000",
+                     id="qkd-n-beyond-float-with-threshold"),
         pytest.param(QKD, {"channel": {"kind": "ideal"}}, "missing field 'n'", id="qkd-no-n"),
         pytest.param(QKD, {**QKD_IDEAL, "code": "hamming"},
                      "code must be 'steane' or {'c1': path, 'c2': path}", id="qkd-code-name"),

@@ -107,6 +107,17 @@ class TestBlockLength:
         assert np.trace(typical_subspace_projector(diag_source(np.int32(4), 0.3))).real == \
             pytest.approx(4.0)
 
+    @pytest.mark.parametrize("n", [10 ** 12, 10 ** 400], ids=["1e12", "401-digit"])
+    def test_huge_block_fails_on_the_cap_without_building_its_size(self, n):
+        # the caps compare n first, so neither d^n nor a float of n is built
+        m = SourceModel(SKEWED, n, 0.3)
+        for call in (typical_set, lambda m: shannon_scheme(m, 1.0)):
+            with pytest.raises(ValueError, match="above the size cap"):
+                call(m)
+        for call in (typical_subspace_projector, schumacher_summary):
+            with pytest.raises(ValueError, match="above the dimension cap"):
+                call(diag_source(n, 0.3))
+
 
 class TestTypicalSet:
     def test_uniform_source_gives_everything(self):
