@@ -14,7 +14,9 @@ randomness comes from named per-purpose streams of the master seed, so a
 transcript replays bit-exactly (a pseudorandom generator only approximates
 ideal protocol bits).  A batch re-keys one Philox per (trial, label) stream:
 a row of fair bits is rng.bits of its raw words, and a measurement row is one
-buffer of uniforms compared with the flat p0 table at 2*state + basis.
+buffer of uniforms compared with the flat p0 table at 2*state + basis.  At an
+intercept-resend rate of 0 or 1 Eve's mask is constant (a uniform in [0, 1) is
+always below 1 and never below 0), so its stream is never keyed or drawn.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _check
-from .codes import CssCode, _coset_keys, _decode_rows, _syndrome_lookup, coset_key, decode
+from .codes import CssCode, _decode_rows, _message_keys, _syndrome_lookup, coset_key, decode
 from .entropy import mutual_information
 from .qentropy import coherent_information, holevo_chi
 from .rng import bits, rekey, stream
@@ -219,16 +221,22 @@ def _reconcile_blocks(code: CssCode, x_alice: np.ndarray, x_bob: np.ndarray,
     v = msgs @ code.c1.generator.T % 2
     offsets = x_alice ^ v
     v_hat, decoded = _decode_rows(code.c1, x_bob ^ offsets, code.t)
-    keys = _coset_keys(code, np.concatenate([v, v_hat]))
+    pivot_rows, inv = code._key_machinery[:2]   # v_hat is in C1: decoded, or zero
+    keys_b = _message_keys(code, v_hat[:, pivot_rows] @ inv.T % 2)
     success = decoded & np.all(v_hat == v, axis=1)
-    return keys[:len(v)], keys[len(v):], success, offsets
+    return _message_keys(code, msgs), keys_b, success, offsets
 
 
 _CHUNK = 256   # trials per stack: temporaries stay a few MB at any batch size
+_MAX_QUBITS = 2 ** 22   # per trial: one trial at the cap peaks near 170 MB
 
 
 def _run_trials(cfg: ProtocolConfig, ch: ChannelModel, seeds: list) -> list[ProtocolTranscript]:
     """One protocol run per master seed, all as one stack of (trials, qubits) rows."""
+    if cfg.qubits_sent > _MAX_QUBITS:
+        raise ValueError(f"a trial sends (4 + delta) * n = {reprlib.repr(cfg.qubits_sent)} qubits, "
+                         f"above {_MAX_QUBITS}: lower n = {reprlib.repr(cfg.n)} or "
+                         f"delta = {cfg.delta}")
     n, total, code, flat = cfg.n, cfg.qubits_sent, cfg.code, _p0_table(ch).ravel()
     n_blocks, every = n // code.n, range(len(seeds))
     gen, u = stream(0), np.empty(total)   # one Philox re-keyed per stream; one row of uniforms
@@ -247,7 +255,10 @@ def _run_trials(cfg: ProtocolConfig, ch: ChannelModel, seeds: list) -> list[Prot
     alice_bits, alice_bases, bob_bases = map(draw, ("alice-bits", "alice-bases", "bob-bases"))
     states, eve = 2 * alice_bases + alice_bits, {}
     if ch.kind == "intercept_resend":
-        mask = draw("eve-mask", lambda rng, i: rng.random(total, out=u) < ch.param, dtype=bool)
+        if ch.param in (0.0, 1.0):   # a uniform in [0, 1) is always < 1 and never < 0
+            mask = np.full((len(seeds), total), ch.param == 1.0)
+        else:
+            mask = draw("eve-mask", lambda rng, i: rng.random(total, out=u) < ch.param, dtype=bool)
         eve_bases = draw("eve-bases")
         eve_bits = measure("eve-measure", states, eve_bases)
         states = np.where(mask, 2 * eve_bases + eve_bits, states)
@@ -258,8 +269,9 @@ def _run_trials(cfg: ProtocolConfig, ch: ChannelModel, seeds: list) -> list[Prot
     enough = sift_mask.sum(axis=1) >= 2 * n
     chosen = np.zeros((len(seeds), 2, n), np.intp)   # check, keep; zero where sifting aborts
     for i in np.flatnonzero(enough):
-        sifted = np.flatnonzero(sift_mask[i])
-        chosen[i].flat = sifted[rekey(gen, seeds[i], "selection").permutation(sifted.size)[:2 * n]]
+        sifted = np.flatnonzero(sift_mask[i])   # shuffled with permutation(sifted.size)'s swaps
+        rekey(gen, seeds[i], "selection").shuffle(sifted)
+        chosen[i].flat = sifted[:2 * n]
     chosen.sort(axis=2)
     disagreements = np.take_along_axis(alice_bits != bob_bits, chosen[:, 0], 1).sum(axis=1)
     good = np.flatnonzero(enough & (disagreements <= cfg.threshold))
@@ -293,14 +305,18 @@ def run_chunks(cfg: ProtocolConfig, ch: ChannelModel,
                trials: int) -> Iterator[list[ProtocolTranscript]]:
     """Independent protocol runs with per-trial seeds derived from the master.
 
-    Trial i is run_bb84 under the seed from stream ("trial", i).  Yields the
-    transcripts as lists of at most _CHUNK consecutive trials, one stack at a
-    time, so a consumer that drops each list runs in constant memory.
+    Trial i is run_bb84 under the seed from stream ("trial", i), its first raw
+    word shifted right by 2: integers(0, 2**62) without the call, as Lemire's
+    bounded draw never rejects on a power-of-two range.  Yields the transcripts
+    as lists of at most _CHUNK consecutive trials, fewer where a trial sends
+    more than 4096 qubits, one stack at a time, so a consumer that drops each
+    list runs in constant memory.
     """
     trials, gen = _check.integer(trials, "trials", 0), stream(0)
-    for at in range(0, trials, _CHUNK):
-        seeds = [int(rekey(gen, cfg.master_seed, "trial", str(i)).integers(0, 2 ** 62))
-                 for i in range(at, min(at + _CHUNK, trials))]
+    chunk = min(_CHUNK, max(1, 2 ** 20 // cfg.qubits_sent))   # at most 2^20 qubits a stack
+    for at in range(0, trials, chunk):
+        seeds = [int(rekey(gen, cfg.master_seed, "trial", str(i)).bit_generator.random_raw()) >> 2
+                 for i in range(at, min(at + chunk, trials))]
         yield _run_trials(cfg, ch, seeds)
 
 

@@ -176,8 +176,9 @@ def _nelder_mead(x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
     nit = 1
     while nit < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        # xatol first: it fails on nearly every step, where fatol mostly holds
+        if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]

@@ -428,17 +428,23 @@ def canonical_coset_rep(code: LinearCode, word) -> np.ndarray:
     return w ^ (w[pivots] @ basis % 2)
 
 
-def _coset_keys(code: CssCode, words: np.ndarray) -> np.ndarray:
-    """coset_key of each row of a (B, n) uint8 stack of C1 codewords.
+def _message_keys(code: CssCode, m: np.ndarray) -> np.ndarray:
+    """Coset key of each row of a (B, k1) stack of C1 messages.
 
     Reducing m modulo the rref rows of the C2 image, one row per pivot, is a
     single product because each row is zero at every other pivot column.
     """
-    pivot_rows, inv, red, pivots, free = code._key_machinery
+    _, _, red, pivots, free = code._key_machinery
+    return (m[:, free] + m[:, pivots] @ red[:, free]) % 2
+
+
+def _coset_keys(code: CssCode, words: np.ndarray) -> np.ndarray:
+    """coset_key of each row of a (B, n) uint8 stack of C1 codewords."""
+    pivot_rows, inv = code._key_machinery[:2]
     m = words[:, pivot_rows] @ inv.T % 2
     if np.any(m @ code.c1.generator.T % 2 != words):
         raise ValueError("word is not a codeword of C1")
-    return (m[:, free] + m[:, pivots] @ red[:, free]) % 2
+    return _message_keys(code, m)
 
 
 def coset_key(code: CssCode, v) -> np.ndarray:

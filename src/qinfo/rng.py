@@ -6,6 +6,9 @@ by hashing a master seed with a purpose label, so independent streams
 No stream draws OS entropy.  A Philox stream is just its key, so a loop over
 many streams re-keys one generator (``rekey``), and ``bits`` reads fair bits
 straight off its raw words; both make the same draws as a fresh ``stream``.
+Raw words serve bounded draws on a power-of-two range too: a BB84 trial seed,
+``integers(0, 2**62)`` of its stream, is the stream's first raw word shifted
+right by 2, since Lemire's method never rejects on such a range.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def _key_type() -> type:
 def _key(master_seed: int, *labels: str) -> tuple[int, int]:
     """The Philox key of a stream: the first 16 bytes of sha256("seed|label:label"),
     read as two native-order 64-bit words."""
-    tag = ":".join(str(part) for part in labels)
+    tag = ":".join(map(str, labels))
     return struct.unpack_from("=2Q", hashlib.sha256(f"{master_seed}|{tag}".encode()).digest())
 
 

@@ -221,6 +221,28 @@ class TestProtocolRuns:
             config(delta=delta)
         assert config(delta=1e300).qubits_sent == math.ceil((4 + 1e300) * 64)
 
+    # (4 + delta) * 64 = 2^22 + 1 qubits, one above the cap, and a count far past it
+    @pytest.mark.parametrize("delta,sent", [(65532.015625, "4194305"), (1e300, "6400000000")],
+                             ids=["cap-plus-one", "1e300"])
+    def test_trial_above_the_qubit_cap_fails_before_it_allocates(self, delta, sent):
+        cfg, ch = config(delta=delta), ChannelModel("ideal")
+        for run in (lambda: run_bb84(cfg, ch), lambda: run_batch(cfg, ch, 3)):
+            with pytest.raises(ValueError) as err:
+                run()
+            text = str(err.value)
+            assert f"= {sent}" in text and f"n = 64 or delta = {delta}" in text and len(text) < 160
+        assert run_batch(cfg, ch, 0) == []
+
+    @pytest.mark.parametrize("sent,chunk", [(2560, 256), (4096, 256), (4097, 255),
+                                            (2 ** 19, 2), (2 ** 20 + 1, 1), (2 ** 22, 1)])
+    def test_chunks_hold_at_most_2_20_qubits(self, monkeypatch, sent, chunk):
+        # each chunk's seeds, with no trial run
+        monkeypatch.setattr(bb84, "_run_trials", lambda cfg, ch, seeds: seeds)
+        cfg = config(delta=sent / 64 - 4)
+        assert cfg.qubits_sent == sent
+        lengths = [len(c) for c in bb84.run_chunks(cfg, ChannelModel("ideal"), 2 * chunk + 1)]
+        assert lengths == [chunk, chunk, 1]
+
     @pytest.mark.parametrize("n", [10 ** 400, 2 ** 1024], ids=["401-digit", "2^1024"])
     def test_key_block_beyond_a_float_rejected_by_name(self, n):
         # (4 + delta) * n cannot convert n to a float; the message cuts n short
@@ -441,6 +463,9 @@ ORACLE_CASES = {
     "depolarizing": (64, 1.0, 7, "depolarizing", 0.1),
     "depolarizing-check": (64, 0.0, 3, "depolarizing", 0.25),
     "eve": (64, 0.0, 7, "intercept_resend", 0.3),
+    # at rate 0 or 1 the batch fills Eve's mask without drawing it; the oracle draws it
+    "eve-never": (64, 0.0, 7, "intercept_resend", 0.0),
+    "eve-always": (64, 1.0, 7, "intercept_resend", 1.0),
 }
 
 
@@ -517,6 +542,11 @@ class TestStackedCoreMatchesSingleTrialOracle:
         run_batch(cfg, ch, 300)
         for seed in trial_seeds(cfg, 300):
             oracles.run_bb84(dataclasses.replace(cfg, master_seed=seed), ch)
+        if ch.kind == "intercept_resend" and ch.param in (0.0, 1.0):   # a constant mask
+            masks = [key for key in expected if key[1] == ("eve-mask",)]
+            assert len(masks) == 300
+            for key in masks:
+                del expected[key]
         assert drawn == expected
         assert set(drawn.values()) == {1}
 

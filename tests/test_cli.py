@@ -641,6 +641,10 @@ class TestBadInput:
         pytest.param(QKD, {"n": 64, "delta": 1e308, "channel": {"kind": "ideal"}},
                      "delta must keep (4 + delta) * 64 finite, got 1e+308",
                      id="qkd-delta-overflows-qubit-count"),
+        # a valid config whose trial would send 512 million qubits fails before it runs
+        pytest.param(QKD, {"n": 512, "delta": 1e6, "channel": {"kind": "ideal"}},
+                     "qubits, above 4194304: lower n = 512 or delta = 1000000.0",
+                     id="qkd-trial-above-qubit-cap"),
         pytest.param(QKD, {"n": 3, "channel": {"kind": "ideal"}}, "shorter than one code block",
                      id="qkd-n-below-code-block"),
         # 0.11 n, the default threshold, would overflow too; ProtocolConfig names n either way

@@ -128,6 +128,16 @@ class TestBitsMatchIntegers:
         assert bits(stream(5, "x"), 4).tolist() == want
 
 
+class TestTrialSeedsFromRawWords:
+    def test_shifted_raw_word_after_rekey_equals_integers_0_2_62(self):
+        # Lemire's bounded draw never rejects on a 2^62 range: value = word >> 2
+        gen = stream(0)
+        for seed in SEEDS:
+            for i in range(50):
+                got = int(rekey(gen, seed, "trial", str(i)).bit_generator.random_raw()) >> 2
+                assert got == int(stream(seed, "trial", str(i)).integers(0, 2 ** 62)), (seed, i)
+
+
 class TestLabelTags:
     def test_labels_join_with_a_colon(self):
         assert rng._key(7, "a:b") == rng._key(7, "a", "b") != rng._key(7, "ab")
@@ -142,7 +152,8 @@ class TestLabelTags:
 
         monkeypatch.setattr(bb84, "rekey", recording_rekey)
         cfg = bb84.ProtocolConfig(n=14, delta=1.0, threshold=3, code=steane_css(), master_seed=1)
-        bb84.run_batch(cfg, bb84.ChannelModel("intercept_resend", 0.0), 3)
+        # at rate 0 or 1 Eve's mask is constant and its stream is never keyed
+        bb84.run_batch(cfg, bb84.ChannelModel("intercept_resend", 0.5), 3)
         bb84_labels = {labels for labels in used if labels[0] != "trial"}
         assert bb84_labels == {
             (name,) for name in ("alice-bits", "alice-bases", "bob-bases", "eve-mask", "eve-bases",
