@@ -13,10 +13,11 @@ Aborts are ordinary outcomes recorded on the transcript, not errors.  All
 randomness comes from named per-purpose streams of the master seed, so a
 transcript replays bit-exactly (a pseudorandom generator only approximates
 ideal protocol bits).  A batch re-keys one Philox per (trial, label) stream:
-a row of fair bits is rng.bits of its raw words, and a measurement row is one
-buffer of uniforms compared with the flat p0 table at 2*state + basis.  At an
-intercept-resend rate of 0 or 1 Eve's mask is constant (a uniform in [0, 1) is
-always below 1 and never below 0), so its stream is never keyed or drawn.
+a row of fair bits is rng.bits of its raw words, and a measurement row compares
+the top 53 bits of its raw words, the integers behind random(), with rng.cut of
+the flat p0 table at 2*state + basis.  At an intercept-resend rate of 0 or 1
+Eve's mask is constant (a uniform in [0, 1) is always below 1 and never below
+0), so its stream is never keyed or drawn.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from . import _check
 from .codes import CssCode, _decode_rows, _message_keys, _syndrome_lookup, coset_key, decode
 from .entropy import mutual_information
 from .qentropy import coherent_information, holevo_chi
-from .rng import bits, rekey, stream
+from .rng import bits, cut, rekey, stream
 from .states import (
     HADAMARD,
     ID2,
@@ -237,9 +238,9 @@ def _run_trials(cfg: ProtocolConfig, ch: ChannelModel, seeds: list) -> list[Prot
         raise ValueError(f"a trial sends (4 + delta) * n = {reprlib.repr(cfg.qubits_sent)} qubits, "
                          f"above {_MAX_QUBITS}: lower n = {reprlib.repr(cfg.n)} or "
                          f"delta = {cfg.delta}")
-    n, total, code, flat = cfg.n, cfg.qubits_sent, cfg.code, _p0_table(ch).ravel()
+    n, total, code, cuts = cfg.n, cfg.qubits_sent, cfg.code, cut(_p0_table(ch).ravel())
     n_blocks, every = n // code.n, range(len(seeds))
-    gen, u = stream(0), np.empty(total)   # one Philox re-keyed per stream; one row of uniforms
+    gen = stream(0)   # one Philox re-keyed per stream
 
     def draw(label, make=None, trials=every, width=total, dtype=np.uint8):
         out = np.empty((len(trials), width), dtype)   # row j from stream label of trials[j]
@@ -248,9 +249,12 @@ def _run_trials(cfg: ProtocolConfig, ch: ChannelModel, seeds: list) -> list[Prot
             out[row] = bits(rng, width) if make is None else make(rng, i)
         return out
 
-    def measure(label, states, bases):   # floats stay one row long
+    def top53(rng):   # random(total) is these integers times 2^-53
+        return rng.bit_generator.random_raw(total) >> 11
+
+    def measure(label, states, bases):
         p0 = 2 * states + bases   # index of p0[state, basis] in the flat table
-        return draw(label, lambda rng, i: rng.random(total, out=u) >= flat.take(p0[i]))
+        return draw(label, lambda rng, i: top53(rng) >= cuts.take(p0[i]))
 
     alice_bits, alice_bases, bob_bases = map(draw, ("alice-bits", "alice-bases", "bob-bases"))
     states, eve = 2 * alice_bases + alice_bits, {}
@@ -258,7 +262,8 @@ def _run_trials(cfg: ProtocolConfig, ch: ChannelModel, seeds: list) -> list[Prot
         if ch.param in (0.0, 1.0):   # a uniform in [0, 1) is always < 1 and never < 0
             mask = np.full((len(seeds), total), ch.param == 1.0)
         else:
-            mask = draw("eve-mask", lambda rng, i: rng.random(total, out=u) < ch.param, dtype=bool)
+            below = cut(ch.param)
+            mask = draw("eve-mask", lambda rng, i: top53(rng) < below, dtype=bool)
         eve_bases = draw("eve-bases")
         eve_bits = measure("eve-measure", states, eve_bases)
         states = np.where(mask, 2 * eve_bases + eve_bits, states)

@@ -109,9 +109,14 @@ def cmd_capacity(args) -> int:
                         {"capacity": cap, **{f"p{i}": x for i, x in enumerate(px)}})
 
 
+@functools.cache   # steane_css builds a fresh code on each call; one serves every run here
+def _steane() -> codes.CssCode:
+    return codes.steane_css()
+
+
 def _css_from_config(obj) -> codes.CssCode:
     if obj == "steane":
-        return codes.steane_css()
+        return _steane()
     if isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in ("c1", "c2")):
         return codes.css_construct(_read_code(obj["c1"]), _read_code(obj["c2"]))
     raise ValueError("code must be 'steane' or {'c1': path, 'c2': path}")

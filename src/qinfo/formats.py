@@ -11,9 +11,12 @@ through fmt, with 12 significant digits.  JSON output (dump_json) is
 json.dumps(obj, indent=2, sort_keys=True).  write_transcripts(transcripts,
 fh) writes exactly dump_json([transcript_to_json(t) for t in transcripts])
 plus a newline, but takes the transcripts one at a time, so a stream of them
-is never held whole.  It writes bit strings and index lists straight from
-their arrays, and only the five scalar fields through json.dumps;
-transcript_to_json and dump_json stay as its reference.
+is never held whole.  Each transcript, with the separator before it, is one
+write of one %-format of a template built once from the sorted field names:
+the bit strings are slices of one ASCII buffer made from their arrays, the
+index lists are rows looked up in a table of JSON cells, and only the five
+scalar fields go through json; transcript_to_json and dump_json stay as its
+reference.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 from collections.abc import Iterable
 from typing import TextIO
 
@@ -170,10 +174,20 @@ def batch_summary_rows(transcripts: list[ProtocolTranscript], start: int = 0) ->
             for i, t in enumerate(transcripts, start)]
 
 
-# transcript_to_json's keys in sorted order, with how the writer prints each value
+# transcript_to_json's keys in sorted order, and how the writer prints each value
 _TRANSCRIPT_KEYS = tuple(sorted(f.name for f in dataclasses.fields(ProtocolTranscript)))
-_INDEX_FIELDS = {"check_indices", "keep_indices"}
-_SCALAR_FIELDS = {"abort_reason", "aborted", "config_seed", "disagreements", "qber_estimate"}
+_INDEX_FIELDS = ("check_indices", "keep_indices")
+_SCALAR_FIELDS = ("abort_reason", "aborted", "config_seed", "disagreements", "qber_estimate")
+_BIT_FIELDS = tuple(k for k in _TRANSCRIPT_KEYS if k not in _INDEX_FIELDS + _SCALAR_FIELDS)
+# the separator before a list element, then the element: dump_json(transcript_to_json(t))
+# with each line after the first indented two more spaces
+_TRANSCRIPT_TEMPLATE = "%(sep)s{\n    " + ",\n    ".join(
+    f'"{k}": %({k})s' for k in _TRANSCRIPT_KEYS) + "\n  }"
+# the five scalars as one JSON list with NUL between its items; json escapes a NUL inside
+# a string, so the text between NULs is each item's json.dumps
+_scalars_json = json.JSONEncoder(separators=("\0", ":")).encode
+# '"' less 48, mod 256: the + 48 that turns bits into ASCII digits turns it into a quote
+_QUOTE = np.array([(ord('"') - 48) % 256], np.uint8)
 
 
 @functools.lru_cache(maxsize=16)
@@ -188,22 +202,53 @@ def _index_cells(size: int) -> np.ndarray:
     return cells
 
 
-def _transcript_text(t: ProtocolTranscript) -> str:
-    """One element of write_transcripts' top-level list: dump_json(transcript_to_json(t))
-    with each line after the first indented two more spaces."""
-    index_cells = _index_cells(t.alice_bits.size)   # every index points into the qubits sent
-    cells = []
-    for name in _TRANSCRIPT_KEYS:
+def _index_list(v: np.ndarray, cells: np.ndarray) -> str:
+    """The JSON text of index list v at a transcript's depth, its rows looked up in cells.
+
+    An index that is not an integer in [0, len(cells)) sends the whole list through json."""
+    if not v.size:
+        return "[]"
+    if v.dtype.kind in "iu" and v[v.argmin()] >= 0:   # a negative index would wrap in take
+        try:
+            rows = cells.take(v)
+        except IndexError:   # past the end: a hand-built transcript, not a protocol run
+            pass
+        else:   # the joined rows less their leading comma
+            return "[" + rows.tobytes().replace(b"\0", b"")[1:].decode() + "\n    ]"
+    return json.dumps(v.tolist(), indent=2).replace("\n", "\n    ")
+
+
+def _transcript_text(t: ProtocolTranscript, sep: str) -> str:
+    """sep, then t as an element of write_transcripts' top-level list: one %-format of
+    _TRANSCRIPT_TEMPLATE.
+
+    The five scalars come from one encoding of a list, split into json.dumps of each.  The
+    bit fields that are not None become one ASCII string, '"f1"f2"..."fk"': one
+    concatenation, cast to uint8 as bits_to_str's np.asarray(b, np.uint8) casts (int64
+    and bool fields print as digits), plus 48 and one decode; each field is one slice,
+    quotes included.  Each index list is one take from _index_cells."""
+    qber = t.qber_estimate
+    text = dict(zip(_SCALAR_FIELDS, _scalars_json(
+        [t.abort_reason, t.aborted, t.config_seed, t.disagreements,
+         None if math.isnan(qber) else qber])[1:-1].split("\0")), sep=sep)
+    present, parts = [], [_QUOTE]
+    for name in _BIT_FIELDS:
         v = getattr(t, name)
-        if name in _INDEX_FIELDS:   # the joined rows minus the first 8-byte separator
-            text = ("[\n      " + index_cells[v].tobytes().replace(b"\0", b"")[8:].decode()
-                    + "\n    ]") if v.size else "[]"
-        elif name in _SCALAR_FIELDS:
-            text = json.dumps(None if name == "qber_estimate" and np.isnan(v) else v)
-        else:   # bits hold only 0 and 1, which json leaves unescaped
-            text = "null" if v is None else f'"{bits_to_str(v)}"'
-        cells.append(f'"{name}": {text}')
-    return "{\n    " + ",\n    ".join(cells) + "\n  }"
+        if v is None:
+            text[name] = "null"
+        else:
+            present.append((name, len(v)))
+            parts += (v, _QUOTE)
+    digits = np.concatenate(parts, dtype=np.uint8, casting="unsafe") + 48
+    joined = digits.tobytes().decode("ascii")
+    at = 0
+    for name, size in present:   # a field's closing quote opens the next one
+        text[name] = joined[at:at + size + 2]
+        at += size + 1
+    cells = _index_cells(len(t.alice_bits))   # a protocol run's indices point into the qubits sent
+    for name in _INDEX_FIELDS:
+        text[name] = _index_list(getattr(t, name), cells)
+    return _TRANSCRIPT_TEMPLATE % text
 
 
 def write_transcripts(transcripts: Iterable[ProtocolTranscript], fh: TextIO) -> None:
@@ -211,7 +256,7 @@ def write_transcripts(transcripts: Iterable[ProtocolTranscript], fh: TextIO) -> 
     one transcript at a time, so a lazy iterable is written as it is produced."""
     sep = "[\n  "
     for t in transcripts:
-        fh.write(sep + _transcript_text(t))
+        fh.write(_transcript_text(t, sep))
         sep = ",\n  "
     fh.write("[]\n" if sep == "[\n  " else "\n]\n")
 

@@ -8,7 +8,9 @@ many streams re-keys one generator (``rekey``), and ``bits`` reads fair bits
 straight off its raw words; both make the same draws as a fresh ``stream``.
 Raw words serve bounded draws on a power-of-two range too: a BB84 trial seed,
 ``integers(0, 2**62)`` of its stream, is the stream's first raw word shifted
-right by 2, since Lemire's method never rejects on such a range.
+right by 2, since Lemire's method never rejects on such a range.  A uniform
+``random()`` is ``(word >> 11) * 2**-53``, so comparing it with a probability p
+is comparing ``word >> 11`` with the integer ``cut(p)``.
 """
 
 from __future__ import annotations
@@ -74,3 +76,10 @@ def bits(gen: np.random.Generator, k: int) -> np.ndarray:
     half of the raw Philox words, the low half first in any byte order."""
     raw = gen.bit_generator.random_raw(-(-k // 2))
     return (raw.astype("<u8", copy=False).view("<u4") >> 31)[:k]
+
+
+def cut(p):
+    """ceil(p * 2^53) as uint64, for p in [0, 1], a float or an array.  A Philox ``random()``
+    is (w >> 11) * 2^-53 of its raw word w, so it is >= p exactly when w >> 11 >= cut(p),
+    and < p exactly when w >> 11 < cut(p); scaling by 2^53 is exact, even for a subnormal p."""
+    return np.ceil(np.multiply(p, 2.0 ** 53)).astype(np.uint64)

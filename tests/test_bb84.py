@@ -631,6 +631,40 @@ def reference_text(transcripts) -> str:
     return formats.dump_json([formats.transcript_to_json(t) for t in transcripts]) + "\n"
 
 
+# bit fields of unequal lengths, so a slice one off shows in the text
+HAND_BUILT_BITS = ("alice_bits", "alice_bases", "bob_bases", "bob_bits", "sift_mask",
+                   "announced_offset", "alice_key", "bob_key", "block_success", "eve_mask",
+                   "eve_bases", "eve_bits")
+_HAND = np.array([1, 0, 1, 1, 0, 0, 1], np.uint8)
+HAND_BUILT_BASE = dict(
+    config_seed=5, alice_bits=_HAND, alice_bases=_HAND[::-1], bob_bases=_HAND[1:],
+    bob_bits=1 - _HAND, sift_mask=_HAND[:5].astype(bool), check_indices=np.array([0, 3]),
+    keep_indices=np.array([2, 5, 6]), disagreements=1, qber_estimate=0.5,
+    announced_offset=_HAND[:3], alice_key=_HAND[2:4], bob_key=_HAND[3:4],
+    block_success=np.array([True, False]), eve_mask=_HAND[:6].astype(bool),
+    eve_bases=_HAND[::2], eve_bits=_HAND[1::3])
+HAND_BUILT = {
+    "as-built": {},
+    "no-eve-mask": dict(eve_mask=None),
+    "no-eve-bases": dict(eve_bases=None),
+    "no-eve-bits": dict(eve_bits=None),
+    "no-eve": dict(eve_mask=None, eve_bases=None, eve_bits=None),
+    "int64-bits": {k: HAND_BUILT_BASE[k].astype(np.int64) for k in HAND_BUILT_BITS},
+    "bool-bits": {k: HAND_BUILT_BASE[k].astype(bool) for k in HAND_BUILT_BITS},
+    "empty-keys": dict(announced_offset=np.array([], np.uint8), alice_key=np.array([], np.uint8),
+                       bob_key=np.array([], np.uint8), block_success=np.array([], bool)),
+    "no-indices": dict(check_indices=np.array([], np.intp), keep_indices=np.array([], np.intp)),
+    "one-index": dict(check_indices=np.array([6]), keep_indices=np.array([0])),
+    "index-at-alice-bits-length": dict(check_indices=np.array([0, 7])),
+    "index-past-alice-bits": dict(check_indices=np.array([3, 12]),
+                                  keep_indices=np.array([1000, 7, 2])),
+    "negative-index": dict(keep_indices=np.array([4, -1, 2])),
+    "float-indices": dict(check_indices=np.array([0.5, 2.0])),
+    "bool-indices": dict(keep_indices=np.array([True, False])),
+    "nul-in-abort-reason": dict(aborted=True, abort_reason="a NUL \0 parts no scalar"),
+}
+
+
 class TestTranscriptWriter:
     def test_every_outcome_equals_dump_json(self):
         outcomes = Counter()
@@ -679,6 +713,12 @@ class TestTranscriptWriter:
             check_indices=np.array([0, 3]), keep_indices=np.array([2]), disagreements=1,
             qber_estimate=qber)
         assert written([t]) == reference_text([t])
+
+    @pytest.mark.parametrize("case", list(HAND_BUILT))
+    def test_hand_built_transcripts_equal_dump_json(self, case):
+        t = bb84.ProtocolTranscript(**{**HAND_BUILT_BASE, **HAND_BUILT[case]})
+        assert written([t]) == reference_text([t])
+        assert written([t, t]) == reference_text([t, t])
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_numpy_integer_seed_exports_like_the_python_int(self, case):

@@ -596,6 +596,25 @@ class TestQkdCommand:
         assert run("three") == default
         assert default[0].decode().splitlines()[10].startswith("9,")
 
+    def test_steane_code_is_built_once_per_process(self, workdir, monkeypatch):
+        builds = []
+
+        def counting_steane():
+            builds.append(1)
+            return steane_css()
+
+        cli._steane.cache_clear()
+        monkeypatch.setattr(codes, "steane_css", counting_steane)
+        written = []
+        for tag in ("first", "second"):
+            out, transcripts = workdir / f"{tag}.csv", workdir / f"{tag}.json"
+            assert main(["qkd", "--config", str(workdir / "qkd.json"), "--seed", "9",
+                         "--trials", "3", "--out", str(out),
+                         "--transcripts", str(transcripts)]) == 0
+            written.append((out.read_bytes(), transcripts.read_bytes()))
+        assert written[0] == written[1]
+        assert builds == [1]
+
     def test_code_files_give_the_steane_run(self, workdir, capsys):
         # Hamming over its dual, read from code files, is the Steane code bit for bit
         (workdir / "simplex.txt").write_text(formats.code_to_text(codes.dual_code(hamming_7_4())))

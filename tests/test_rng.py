@@ -128,6 +128,29 @@ class TestBitsMatchIntegers:
         assert bits(stream(5, "x"), 4).tolist() == want
 
 
+class TestUniformCuts:
+    # p = 0, the least subnormal, p just below 1/2 and just below 1, and 1
+    P = (0.0, 5e-324, 0.05, float(np.nextafter(0.5, 0)), 0.5, 0.95, 1 - 2 ** -53, 1.0)
+
+    def test_top_53_bits_against_the_cut_equal_uniforms_against_p(self):
+        gen, cuts = stream(0), rng.cut(np.array(self.P))
+        assert [rng.cut(p) for p in self.P] == cuts.tolist()
+        for seed, labels in itertools.product(SEEDS, LABELS):
+            u = stream(seed, *labels).random(37)   # an odd length
+            top = rekey(gen, seed, *labels).bit_generator.random_raw(37) >> 11
+            assert u.tobytes() == (top * 2.0 ** -53).tobytes()
+            for p, c in zip(self.P, cuts):
+                assert np.array_equal(u >= p, top >= c), (seed, labels, p)
+                assert np.array_equal(u < p, top < c), (seed, labels, p)
+
+    def test_the_cut_is_the_first_53_bit_integer_whose_uniform_reaches_p(self):
+        for p, c in zip(self.P, rng.cut(np.array(self.P)).tolist()):
+            assert 0 <= c <= 2 ** 53
+            for m in (c - 1, c):
+                if 0 <= m < 2 ** 53:
+                    assert (m * 2.0 ** -53 >= p) == (m >= c), (p, m)
+
+
 class TestTrialSeedsFromRawWords:
     def test_shifted_raw_word_after_rekey_equals_integers_0_2_62(self):
         # Lemire's bounded draw never rejects on a 2^62 range: value = word >> 2
