@@ -168,7 +168,7 @@ def batch_summary_rows(transcripts: list[ProtocolTranscript], start: int = 0) ->
 
     Trials are numbered from start.
     """
-    return [csv_row([i, t.aborted, t.sift_mask.sum(),
+    return [csv_row([i, t.aborted, np.count_nonzero(t.sift_mask),
                      "" if np.isnan(t.qber_estimate) else t.qber_estimate,
                      t.alice_key.size, t.keys_match])
             for i, t in enumerate(transcripts, start)]

@@ -1,3 +1,4 @@
+import collections
 import math
 import operator
 from functools import reduce
@@ -12,9 +13,12 @@ from qinfo.qentropy import von_neumann_entropy
 from qinfo.states import DensityMatrix, dag, random_unitary
 from qinfo.typical import (
     ENUMERATION_CAP_BITS,
+    QUANTUM_DIM_CAP,
     CapacityError,
     QuantumSourceModel,
+    ShannonScheme,
     SourceModel,
+    _class_groups,
     _class_table,
     _eigen_source,
     _typical_table,
@@ -23,8 +27,10 @@ from qinfo.typical import (
     schumacher_compress,
     schumacher_fidelity,
     schumacher_summary,
+    schumacher_sweep,
     sequence_prob,
     shannon_scheme,
+    shannon_sweep,
     typical_set,
     typical_set_mass,
     typical_subspace_projector,
@@ -484,3 +490,108 @@ class TestSchumacher:
         f4, f8 = schumacher_fidelity(diag_source(4, 0.3)), schumacher_fidelity(diag_source(8, 0.3))
         assert f8 > f4 and f8 > 0.6
         assert von_neumann_entropy(DensityMatrix(np.diag(SKEWED).astype(complex))) < 1.0
+
+
+def outcome(rows):
+    """repr of rows(), which pins every bit and type, or the type and message of its error."""
+    try:
+        return repr(rows())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def scheme_numbers(probs, n, eps, rate) -> tuple[int, float, float]:
+    s = ShannonScheme(SourceModel(probs, n, eps), rate)
+    return s.set_size, s.set_mass, s.reliability
+
+
+class TestSweeps:
+    """A sweep's rows, and its first error, equal one scheme or summary per block
+    length in order, bit for bit, though the sweep builds one grouped class table."""
+
+    @staticmethod
+    def random_probs(rng, a: int) -> tuple[float, ...]:
+        probs = rng.dirichlet(np.ones(a))
+        if a > 1 and rng.random() < 0.4:   # a zero-probability symbol
+            probs[rng.integers(a)] = 0.0
+            probs /= probs.sum()
+        return tuple(probs.tolist())
+
+    @staticmethod
+    def random_blocks(rng, top: int) -> list[int]:
+        """Unsorted lengths up to top, at times one repeated and one above the cap."""
+        blocks = rng.integers(1, top + 1, int(rng.integers(1, 6))).tolist()
+        if rng.random() < 0.5:
+            blocks.append(blocks[int(rng.integers(len(blocks)))])
+        if rng.random() < 0.2:
+            blocks.insert(int(rng.integers(len(blocks) + 1)), top + 1)
+        return blocks
+
+    def test_random_shannon_sweeps_equal_one_scheme_per_length(self, rng):
+        seen = collections.Counter()
+        for _ in range(300):
+            a = int(rng.integers(1, 5))
+            probs = self.random_probs(rng, a)
+            blocks = self.random_blocks(rng, int(ENUMERATION_CAP_BITS / math.log2(max(a, 2))))
+            eps = float(rng.uniform(0.05, 0.6))
+            entropy = SourceModel(probs, 1, eps).entropy
+            # near H, to trim and overflow the index space; at times below 1 bit per block
+            rate = (float(rng.uniform(0.6, 1.4)) * max(entropy, 0.2) if rng.random() < 0.8
+                    else float(rng.uniform(0.05, 0.3)))
+            expected = outcome(lambda: [scheme_numbers(probs, n, eps, rate) for n in blocks])
+            assert outcome(lambda: shannon_sweep(probs, blocks, eps, rate)) == expected, (
+                probs, blocks, eps, rate)
+            seen[expected[0].__name__ if isinstance(expected, tuple) else "rows"] += 1
+            seen["size cap"] += "above the size cap" in str(expected)
+            seen["rate"] += "rate times block length" in str(expected)
+        assert seen["rows"] >= 100 and seen["CapacityError"] >= 10, seen
+        assert seen["size cap"] >= 10 and seen["rate"] >= 10, seen
+
+    def test_random_schumacher_sweeps_equal_one_summary_per_length(self, rng):
+        seen = collections.Counter()
+        for _ in range(150):
+            d = int(rng.integers(1, 4))
+            u = random_unitary(d, rng)
+            w = np.asarray(self.random_probs(rng, d))
+            rho = DensityMatrix(u @ np.diag(w).astype(complex) @ dag(u))
+            top = 24 if d == 1 else int(math.log(QUANTUM_DIM_CAP, d) + 1e-9)
+            blocks = self.random_blocks(rng, top)
+            eps = float(rng.uniform(0.05, 0.6))
+            expected = outcome(lambda: [schumacher_summary(QuantumSourceModel(rho, n, eps))
+                                        for n in blocks])
+            assert outcome(lambda: schumacher_sweep(rho, blocks, eps)) == expected, (
+                d, blocks, eps)
+            seen["rows" if isinstance(expected, str) else "error"] += 1
+        assert seen["rows"] >= 100 and seen["error"] >= 10, seen
+
+    @pytest.mark.parametrize("blocks,rate,fragment", [
+        ([6, 30], 0.1, "rate times block length must be at least 1 bit"),
+        ([30, 6], 0.1, "typical set enumeration above the size cap"),
+        ([4, 8, 30], 0.85, "typical set (92) exceeds 63 indices at rate 0.85 > H"),
+        ([4, 30, 8], 0.85, "typical set enumeration above the size cap"),
+    ], ids=["rate-before-a-later-cap", "cap-first", "capacity", "cap-before-a-later-capacity"])
+    def test_first_error_of_the_per_length_loop(self, blocks, rate, fragment):
+        expected = outcome(lambda: [scheme_numbers(SKEWED, n, 0.3, rate) for n in blocks])
+        assert expected[1] == fragment
+        assert outcome(lambda: shannon_sweep(SKEWED, blocks, 0.3, rate)) == expected
+
+    @pytest.mark.parametrize("blocks", [[], ()], ids=["list", "tuple"])
+    def test_empty_blocks_rejected_by_name(self, blocks):
+        with pytest.raises(ValueError, match=r"^len\(blocks\) must be >= 1"):
+            shannon_sweep(SKEWED, blocks, 0.3, 1.0)
+        with pytest.raises(ValueError, match=r"^len\(blocks\) must be >= 1"):
+            schumacher_sweep(np.diag(SKEWED).astype(complex), blocks, 0.3)
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 4])
+    def test_each_group_equals_the_class_table_of_its_length(self, a, rng):
+        m = SourceModel(self.random_probs(rng, a), 1, 0.3)
+        blocks = [5, 2, 5, 1, 7, 30]   # the last is above the cap
+        weights = rng.random((2, a))
+        failure, group, starts, *table = _class_groups(m, blocks, *weights)
+        assert "above the size cap" in str(failure)
+        assert group.tolist() == sorted(group.tolist()) and starts.tolist() == [
+            group.tolist().index(g) for g in range(len(blocks) - 1)]
+        for g, n in enumerate(blocks[:-1]):
+            expected = _class_table(SourceModel(m.probs, n, m.epsilon), *weights)
+            for got, want in zip(table, expected, strict=True):
+                assert got[group == g].tolist() == want.tolist()
