@@ -6,8 +6,8 @@ measured by the receiver in random bases, sifted, spot-checked against a
 disagreement threshold, reconciled blockwise with the C1 code of a CSS pair,
 and privacy-amplified down to the coset key of C2 in C1.  Every signal is one
 of four states, so a qubit travels as its index 2*basis + bit (never a joint
-state): the Born probabilities come from a 4 x 2 table, one _born_p0 call on
-the 8 transported signal matrices, and an intercept-resend Eve swaps indices.
+state): the Born probabilities come from a 4 x 2 table of exact values rounded
+once, and an intercept-resend Eve swaps indices.
 
 Aborts are ordinary outcomes recorded on the transcript, not errors.  All
 randomness comes from named per-purpose streams of the master seed, so a
@@ -28,6 +28,7 @@ import reprlib
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -165,12 +166,6 @@ class ProtocolTranscript:
                 and np.array_equal(self.alice_key, self.bob_key))
 
 
-def _born_p0(rhos: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Probability of outcome 0 for each qubit measured in its own basis."""
-    v0 = STATE_VECTORS[bases, 0]
-    return np.einsum("ni,nij,nj->n", v0.conj(), rhos, v0).real
-
-
 def measure_qubit(rho, basis: int, rng: np.random.Generator) -> int:
     """Measure one qubit state in the computational or Hadamard basis."""
     ops = projective_measurement(basis_matrix(basis))
@@ -182,13 +177,14 @@ def measure_qubit(rho, basis: int, rng: np.random.Generator) -> int:
 def _p0_table(ch: ChannelModel) -> np.ndarray:
     """p0[state, basis] of the four signals after transport, state = 2*basis + bit.
 
-    One _born_p0 call on the 8-row batch, so each entry equals a full stack's.
-    Cached per (frozen) model and returned read-only.
+    Each entry is the exact Born probability, rounded once: 1 or 0 in the
+    signal's own basis, 1/2 across, and (1 - f) p + f/2 on the exact value of
+    the float f under depolarizing f.  Cached per (frozen) model and read-only.
     """
-    rhos = STATE_MATRICES.reshape(4, 2, 2)
-    if ch.kind == "depolarizing":
-        rhos = (1.0 - ch.param) * rhos + (ch.param / 2.0) * ID2
-    table = _born_p0(np.repeat(rhos, 2, axis=0), np.tile([0, 1], 4)).reshape(4, 2)
+    f = Fraction(ch.param if ch.kind == "depolarizing" else 0)
+    exact = [[Fraction(1 - state % 2) if basis == state // 2 else Fraction(1, 2)
+              for basis in (0, 1)] for state in range(4)]
+    table = np.array([[float((1 - f) * p + f / 2) for p in row] for row in exact])
     table.flags.writeable = False
     return table
 

@@ -112,7 +112,7 @@ def _row_norms(vecs: np.ndarray) -> np.ndarray:
 def _unit_outputs(op: QuantumChannel, vecs: np.ndarray) -> np.ndarray:
     """Outputs (..., m, d_out, d_out) of the normalised rows of a trusted (..., m, d) stack."""
     u = vecs / _row_norms(vecs)[..., None]
-    return op.apply_mat(u[..., :, None] * u.conj()[..., None, :])
+    return op._apply(u[..., :, None] * u.conj()[..., None, :])
 
 
 def _pure_outputs(op: QuantumChannel, ensemble) -> tuple[np.ndarray, np.ndarray]:
@@ -145,13 +145,13 @@ def _theta_to_ensemble(theta: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarra
     Row j of norm < 1e-12 becomes |j mod d>.  Each point of a stack gets the bits of its own call.
     """
     m = d * d
-    w = np.exp(theta[..., :m] - theta[..., :m].max(axis=-1, keepdims=True))
-    w /= w.sum(axis=-1, keepdims=True)
+    w = np.exp(theta[..., :m] - np.maximum.reduce(theta[..., :m], axis=-1, keepdims=True))
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
     rest = theta[..., m:].reshape(theta.shape[:-1] + (m, 2 * d))
     vecs = rest[..., :d] + 1j * rest[..., d:]
     norms = _row_norms(vecs)
     dead = norms < 1e-12
-    if dead.any():
+    if np.logical_or.reduce(dead, axis=None):
         # a basis row has norm exactly 1.0, so one norm array serves both uses
         vecs[dead] = np.eye(d)[np.nonzero(dead)[-1] % d]
         norms[dead] = 1.0
@@ -172,13 +172,13 @@ def _nelder_mead(x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
     np.fill_diagonal(sim[1:], np.where(x0 != 0, 1.05 * x0, 0.00025))
     fsim = np.array((yield sim), dtype=float)
     for _ in range(2):   # SciPy sorts twice; argsort is unstable on ties
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
     nit = 1
     while nit < maxiter:
         # xatol first: it fails on nearly every step, where fatol mostly holds
-        if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+        if (np.maximum.reduce(np.abs(sim[1:] - sim[0]), axis=None) <= xatol
+                and np.maximum.reduce(np.abs(fsim[0] - fsim[1:])) <= fatol):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]
@@ -204,8 +204,8 @@ def _nelder_mead(x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
                 sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
                 fsim[1:] = yield sim[1:]
         nit += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
     return sim[0], np.min(fsim), nit
 
 

@@ -147,8 +147,8 @@ def _chi(probs: np.ndarray, spectra: np.ndarray):
     bit-identical to taking ``_neg_sum_plogp`` of each clamped, descending
     row and skipping ``p == 0``.  A descending clamped row keeps its zeros at
     the end, and numpy sums a row of fewer than 8 entries in sequence, so the
-    masked ``np.sum(..., axis=-1)`` adds the same terms in the same order plus
-    trailing zeros.  Rows of 8 or more entries are summed pairwise in blocks,
+    masked ``np.add.reduce(..., axis=-1)`` adds the same terms in the same
+    order plus trailing zeros.  Rows of 8 or more entries are summed pairwise in blocks,
     where the inserted zeros would move the block boundaries, so those keep
     the per-row sum.  A zero weight times a finite entropy is a signed zero,
     and subtracting it leaves chi unchanged: chi starts as ``0.0 - sum``,
@@ -157,7 +157,7 @@ def _chi(probs: np.ndarray, spectra: np.ndarray):
     """
     if spectra.shape[-1] < 8:
         terms = spectra * np.log2(np.where(spectra > 0.0, spectra, 1.0))
-        entropies = 0.0 - np.sum(terms, axis=-1)
+        entropies = 0.0 - np.add.reduce(terms, axis=-1)
     else:
         entropies = np.array([centropy._neg_sum_plogp(w) for w in
                               spectra.reshape(-1, spectra.shape[-1])]).reshape(spectra.shape[:-1])

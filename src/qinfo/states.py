@@ -174,8 +174,9 @@ def _ordered_sum(terms) -> np.ndarray:
 
 def clamp_spectrum(w: np.ndarray, tol: float = TOL_EIG) -> np.ndarray:
     """Zero out eigenvalues in [-tol, 0); values below -tol are a hard error."""
-    if w.min() < -tol:
-        raise ValueError(f"eigenvalue {float(w.min())} below -{tol}")
+    low = np.minimum.reduce(w, axis=None)
+    if low < -tol:
+        raise ValueError(f"eigenvalue {float(low)} below -{tol}")
     return np.where(w < 0.0, 0.0, w)
 
 
@@ -314,10 +315,15 @@ class QuantumChannel:
         this against that loop.
         """
         mat = np.asarray(mat)
-        k, k_dag = self._stack, self._stack_dag
-        (r, dout, din), lead = k.shape, mat.shape[:-2]
+        din = self.dim_in
         if mat.shape[-2:] != (din, din):
             raise ValueError(f"expected shape (..., {din}, {din}), got {mat.shape}")
+        return self._apply(mat)
+
+    def _apply(self, mat: np.ndarray) -> np.ndarray:
+        """``apply_mat`` on a trusted (..., dim_in, dim_in) array, without its checks."""
+        k, k_dag = self._stack, self._stack_dag
+        (r, dout, din), lead = k.shape, mat.shape[:-2]
         left = k.reshape(r * dout, din) @ mat.reshape(-1, din, din)
         left = left.reshape(-1, r, dout, din).swapaxes(0, 1).reshape(r, -1, din)
         return _ordered_sum((left @ k_dag).reshape((r,) + lead + (dout, dout)))

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from qinfo.bb84 import (
     STATE_MATRICES,
     ChannelModel,
     ProtocolConfig,
-    _born_p0,
     _reconcile_blocks,
     bb84_state,
     eve_holevo_bound,
@@ -36,9 +36,8 @@ from qinfo.codes import (
     repetition_code,
     steane_css,
 )
-from qinfo.rng import rekey, stream
+from qinfo.rng import cut, rekey, stream
 from qinfo.states import (
-    ID2,
     KET_0,
     KET_1,
     KET_MINUS,
@@ -357,44 +356,60 @@ class TestPrivacyBound:
 
 class TestBatchTransportAgreesWithSingleQubit:
     def test_born_rule_consistency(self):
-        # the vectorised path and the public measure_qubit op draw identical
-        # bits from identical streams
-        from qinfo.bb84 import _born_p0, STATE_MATRICES
+        # the batched path's Born table and the public measure_qubit op draw
+        # identical bits from identical streams
         rng1 = stream(21, "compare")
         rng2 = stream(21, "compare")
         bits = np.array([0, 1, 0, 1, 1, 0], dtype=np.uint8)
         bases = np.array([0, 0, 1, 1, 0, 1], dtype=np.uint8)
         meas = np.array([1, 0, 0, 1, 1, 0], dtype=np.uint8)
         rhos = STATE_MATRICES[bases, bits]
-        p0 = _born_p0(rhos, meas)
+        p0 = bb84._p0_table(ChannelModel("ideal"))[2 * bases + bits, meas]
         batch = (rng1.random(6) >= p0).astype(np.uint8)
         single = np.array([measure_qubit(DensityMatrix(rhos[i]), int(meas[i]), rng2)
                            for i in range(6)], dtype=np.uint8)
         assert np.array_equal(batch, single)
 
 
-def density_matrix_transport(bits, bases, meas, ch, seed):
-    """Reference transport on a (count, 2, 2) stack of signal density matrices.
+# |0>, |1>, |+>, |-> up to their norms, at index 2*basis + bit
+EXACT_KETS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
-    Applies the channel affinely to every qubit's matrix (intercept-resend
-    measures in Eve's bases from her three streams and resends her states),
-    then takes the Born rule on the full stack.  Returns (p0 in the
-    measurement bases, Eve's transcript fields).
+
+def exact_signal(state: int, f=Fraction(0)) -> list[list[Fraction]]:
+    """Density matrix of a signal after depolarizing f, in exact rationals."""
+    u = EXACT_KETS[state]
+    norm = Fraction(u[0] ** 2 + u[1] ** 2)
+    return [[(1 - f) * u[i] * u[j] / norm + (f / 2 if i == j else 0) for j in (0, 1)]
+            for i in (0, 1)]
+
+
+def exact_p0(rho, basis: int) -> Fraction:
+    """tr(|v><v| rho) for the basis' outcome-0 ket v, in exact rationals."""
+    v = EXACT_KETS[2 * basis]
+    return sum(v[i] * rho[i][j] * v[j] for i in (0, 1) for j in (0, 1)) / (v[0] ** 2 + v[1] ** 2)
+
+
+def density_matrix_transport(bits, bases, meas, ch, seed):
+    """Reference transport on one exact rational density matrix per qubit.
+
+    Applies the channel to every qubit's matrix on the Fraction of its float
+    parameter (intercept-resend measures in Eve's bases from her three
+    streams and resends her states), then rounds each Born probability once.
+    Returns (p0 in the measurement bases, Eve's transcript fields).
     """
-    rhos = STATE_MATRICES[bases, bits]
-    if ch.kind == "depolarizing":
-        rhos = (1.0 - ch.param) * rhos + (ch.param / 2.0) * ID2[None, :, :]
+    f = Fraction(ch.param) if ch.kind == "depolarizing" else Fraction(0)
+    rhos = [exact_signal(2 * int(b) + int(x), f) for b, x in zip(bases, bits)]
     eve = {}
     if ch.kind == "intercept_resend":
-        count = rhos.shape[0]
+        count = len(rhos)
         mask = stream(seed, "eve-mask").random(count) < ch.param
         eve_bases = stream(seed, "eve-bases").integers(0, 2, count).astype(np.uint8)
-        eve_p0 = _born_p0(rhos, eve_bases)
+        eve_p0 = np.array([float(exact_p0(r, b)) for r, b in zip(rhos, eve_bases)])
         eve_bits = (stream(seed, "eve-measure").random(count) >= eve_p0).astype(np.uint8)
-        rhos = rhos.copy()
-        rhos[mask] = STATE_MATRICES[eve_bases[mask], eve_bits[mask]]
+        rhos = [exact_signal(2 * int(b) + int(x)) if hit else r
+                for r, hit, b, x in zip(rhos, mask, eve_bases, eve_bits)]
         eve = dict(eve_mask=mask, eve_bases=eve_bases, eve_bits=eve_bits)
-    return _born_p0(rhos, meas), eve
+    return np.array([float(exact_p0(r, b)) for r, b in zip(rhos, meas)]), eve
 
 
 class TestIndexTransportMatchesDensityMatrices:
@@ -412,6 +427,31 @@ class TestIndexTransportMatchesDensityMatrices:
         assert eve.keys() == ref_eve.keys()
         for key, want in ref_eve.items():
             assert eve[key].dtype == want.dtype and np.array_equal(eve[key], want)
+
+    @pytest.mark.parametrize("kind,param,want", [
+        # p0[state, basis] row by row: |0>, |1>, |+>, |-> in the computational
+        # and the Hadamard basis; a pure signal's entries are exactly 1, 1/2, 0
+        ("ideal", 0.0, ["0x1.0000000000000p+0", "0x1.0000000000000p-1",
+                        "0x0.0p+0", "0x1.0000000000000p-1",
+                        "0x1.0000000000000p-1", "0x1.0000000000000p+0",
+                        "0x1.0000000000000p-1", "0x0.0p+0"]),
+        ("intercept_resend", 0.3, ["0x1.0000000000000p+0", "0x1.0000000000000p-1",
+                                   "0x0.0p+0", "0x1.0000000000000p-1",
+                                   "0x1.0000000000000p-1", "0x1.0000000000000p+0",
+                                   "0x1.0000000000000p-1", "0x0.0p+0"]),
+        ("depolarizing", 0.1, ["0x1.e666666666666p-1", "0x1.0000000000000p-1",
+                               "0x1.999999999999ap-5", "0x1.0000000000000p-1",
+                               "0x1.0000000000000p-1", "0x1.e666666666666p-1",
+                               "0x1.0000000000000p-1", "0x1.999999999999ap-5"]),
+    ])
+    def test_p0_table_pinned_in_hex(self, kind, param, want):
+        table = bb84._p0_table(ChannelModel(kind, param))
+        assert [float(p).hex() for p in table.ravel()] == want
+
+    def test_ideal_cuts_are_exact(self):
+        # so an ideal channel never flips a matched-basis bit
+        cuts = cut(bb84._p0_table(ChannelModel("ideal")).ravel())
+        assert cuts.tolist() == [2 ** 53, 2 ** 52, 0, 2 ** 52, 2 ** 52, 2 ** 53, 2 ** 52, 0]
 
 
 

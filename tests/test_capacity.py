@@ -223,6 +223,28 @@ class TestHswEstimate:
         vecs = np.stack([v for _, v in ens])
         assert hashlib.sha256(vecs.tobytes()).hexdigest() == vecs_sha256
 
+    # one search objective evaluation, pinned at the kernel on three seeded
+    # points per channel, alone and as one stack; row 2 of the middle point
+    # has norm below 1e-12, so it becomes a basis row.  A trim of the kernels
+    # that moves a bit fails here before it reaches the 2000-step goldens
+    @pytest.mark.parametrize("make,d,want", [
+        (lambda: depolarizing_channel(0.5), 2,
+         ["-0x1.0eabc75a2e384p-4", "-0x1.3d7f23ae57373p-4", "-0x1.8c6f35f9ed90cp-4"]),
+        (lambda: weyl_depolarizing(0.3), 3,
+         ["-0x1.2277700b0791cp-1", "-0x1.02be8c948f4a8p-1", "-0x1.3a54c8be82348p-1"]),
+    ], ids=["depolarizing-0.5", "qutrit-weyl-depolarizing-0.3"])
+    def test_golden_objective(self, make, d, want):
+        op, m = make(), d * d
+        thetas = stream(d, "objective-golden").normal(size=(3, m + m * 2 * d))
+        thetas[1, m + 2 * 2 * d: m + 3 * 2 * d] *= 1e-13
+        assert np.array_equal(_theta_to_ensemble(thetas[1], d)[1][2], ket(2 % d, d))
+        singles = []
+        for theta in thetas:
+            w, vecs = _theta_to_ensemble(theta, d)
+            singles.append((-_holevo(w, _unit_outputs(op, vecs))).hex())
+        w, vecs = _theta_to_ensemble(thetas, d)
+        assert singles == [x.hex() for x in -_holevo(w, _unit_outputs(op, vecs))] == want
+
     # outputs in dimension 8 take the per-row entropy sum
     @pytest.mark.parametrize("d,d_out", [(2, 2), (3, 3), (2, 8)], ids=["2", "3", "2-to-8"])
     def test_objective_equals_validated_chi(self, d, d_out, rng):
