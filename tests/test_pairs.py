@@ -97,24 +97,25 @@ class TestAggregate:
         calls = []
 
         def fake_run(root, workload, seed, seconds):
-            calls.append((root == pairs.ROOT, workload, seed))
-            return result(2.0 if root == pairs.ROOT else 1.0)
+            calls.append((root.name, workload, seed))
+            return result(2.0 if root.name == "change" else 1.0)
 
         monkeypatch.setattr(pairs, "run_bench", fake_run)
-        monkeypatch.setattr(pairs, "export", lambda rev, dest: (dest / "tree").mkdir())
+        monkeypatch.setattr(pairs, "export", lambda rev, tree: tree.mkdir())
         monkeypatch.setattr(pairs, "time_tier1", lambda root: {
             "wall_s": 1.0, "returncode": 0, "summary": "1 passed"})
         monkeypatch.setattr(pairs, "compile_tree", lambda root: None)
-        monkeypatch.setattr(pairs, "git", lambda *args: {
-            "rev-parse": "0123456789abcdef0123456789abcdef01234567"}.get(args[0], ""))
+        monkeypatch.setattr(pairs, "git", lambda *args: args[-1].split("^")[0])
         out = tmp_path / "BENCH_test.json"
-        assert pairs.main(["--base", "HEAD", "--workloads", "hsw,compress", "--pairs", "3",
-                           "--seconds", "1", "--first-seed", "5", "--out", str(out)]) == 0
+        assert pairs.main(["--base", "b0", "--change", "c1", "--workloads", "hsw,compress",
+                           "--pairs", "3", "--seconds", "1", "--first-seed", "5",
+                           "--out", str(out)]) == 0
         record = json.loads(out.read_text())
         check_schema(record)
-        assert record["seeds"] == [5, 6, 7]
+        assert (record["base"], record["change"], record["seeds"]) == ("b0", "c1", [5, 6, 7])
         # base first in pairs 0 and 2, the change first in pair 1
-        assert [c[0] for c in calls[:6]] == [False, True, True, False, False, True]
+        assert [c[0] for c in calls[:6]] == ["base", "change", "change", "base", "base",
+                                             "change"]
         assert [c[1:] for c in calls[::2]] == [("hsw", 5), ("hsw", 6), ("hsw", 7),
                                                ("compress", 5), ("compress", 6),
                                                ("compress", 7)]

@@ -1,4 +1,4 @@
-"""Paired benchmark runs of a base commit against this checkout.
+"""Paired benchmark runs of two commits, each from a fresh copy of its tree.
 
     python3 tools/pairs.py --base HEAD~1                        # 10 pairs, 30 s runs
     python3 tools/pairs.py --base HEAD~1 --workloads hsw --pairs 4 --seconds 10
@@ -6,11 +6,12 @@
 For each workload, pair i runs ``python3 perfbench/run.py --workload W --seed
 S --seconds T --trace 0`` once on each side with seed S = ``--first-seed`` +
 i.  The side that runs first alternates from pair to pair, and only one run
-is alive at a time.  The base side runs in a ``git archive`` export of the
-base commit in a temporary directory, removed at the end; the change side
-runs in this checkout, uncommitted edits included.  Before the pairs, each
-side's tier-1 suite is timed once.  Every child process has a timeout, so
-the script leaves nothing running.
+is alive at a time.  Each side runs in a ``git archive`` export of its
+commit (``--base``, and ``--change``, HEAD by default) in one temporary
+directory, removed at the end, so both run from the same kind of fresh
+tree and uncommitted edits are not measured.  Before the pairs, each side's
+tier-1 suite is timed once.  Every child process has a timeout, so the
+script leaves nothing running.
 
 The result goes to ``BENCH_<base short sha>.json`` at the repository root
 (or ``--out``).  For every end-to-end metric of BENCHMARK.json it holds each
@@ -98,11 +99,10 @@ def git(*args: str) -> str:
                           check=True, timeout=GIT_TIMEOUT_S).stdout.strip()
 
 
-def export(rev: str, dest: Path) -> None:
-    """The committed tree of ``rev`` as plain files under ``dest``."""
-    tar = dest / "tree.tar"
+def export(rev: str, tree: Path) -> None:
+    """The committed files of ``rev`` as a new directory ``tree``."""
+    tar = tree.with_suffix(".tar")
     git("archive", "--output", str(tar), rev)
-    tree = dest / "tree"
     tree.mkdir()
     subprocess.run(["tar", "-xf", str(tar), "-C", str(tree)], check=True,
                    timeout=GIT_TIMEOUT_S)
@@ -151,6 +151,7 @@ def machine() -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
+    ap.add_argument("--change", default="HEAD", help="git revision to measure")
     ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
@@ -161,12 +162,10 @@ def main(argv=None) -> int:
     if not set(workloads) <= set(WORKLOADS) or args.pairs < 1 or args.seconds <= 0:
         ap.error(f"workloads must be among {WORKLOADS}, with --pairs >= 1 and --seconds > 0")
 
-    base_sha = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
-    short = git("rev-parse", "--short", base_sha)
-    edits = git("status", "--porcelain", "--untracked-files=no")
+    revs = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}")
+            for side, rev in (("base", args.base), ("change", args.change))}
     record = {
-        "base": base_sha,
-        "change": {"head": git("rev-parse", "HEAD"), "uncommitted_edits": bool(edits)},
+        **revs,
         "machine": machine(),
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "pairs": args.pairs, "seconds": args.seconds,
@@ -174,9 +173,9 @@ def main(argv=None) -> int:
         "order": "base first in even pairs (counting from 0), change first in odd ones",
     }
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        export(base_sha, Path(tmp))
-        sides = {"base": Path(tmp) / "tree", "change": ROOT}
-        for root in sides.values():
+        sides = {side: Path(tmp) / side for side in revs}
+        for side, root in sides.items():
+            export(revs[side], root)
             compile_tree(root)
         record["tier1"] = {side: time_tier1(root) for side, root in sides.items()}
         print(f"tier-1: {record['tier1']}", file=sys.stderr)
@@ -193,7 +192,7 @@ def main(argv=None) -> int:
                       f"adj_throughput base {tput['base']:.6g} change {tput['change']:.6g}",
                       file=sys.stderr)
             record["workloads"][workload] = aggregate(runs)
-    out = args.out or bench_path(short)
+    out = args.out or bench_path(git("rev-parse", "--short", revs["base"]))
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
