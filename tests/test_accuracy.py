@@ -4,8 +4,8 @@ Each row scores eight seeded pure-state ensembles of d^2 members on one
 channel, through the validated ``hsw_chi`` and through one evaluation of the
 search's trusted objective, and bounds the largest absolute error in bits.
 Each bound is the error measured when the row was added, rounded up by at
-most 4x, so a change that moves bits away from the true value fails here
-even where no golden pins them.  identity(2) has pure outputs, whose
+most 4x, so a change that moves a result further from the true value than
+that fails here, even where no golden pins its bits.  identity(2) has pure outputs, whose
 eigenvalue dust costs about 1e-14 bits (ROADMAP defect 1).
 """
 
