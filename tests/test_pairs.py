@@ -106,11 +106,10 @@ class TestAggregate:
             "wall_s": 1.0, "returncode": 0, "summary": "1 passed"})
         monkeypatch.setattr(pairs, "compile_tree", lambda root: None)
         monkeypatch.setattr(pairs, "git", lambda *args: args[-1].split("^")[0])
-        out = tmp_path / "BENCH_test.json"
+        monkeypatch.setattr(pairs, "bench_path", lambda sha: tmp_path / f"BENCH_{sha}.json")
         assert pairs.main(["--base", "b0", "--change", "c1", "--workloads", "hsw,compress",
-                           "--pairs", "3", "--seconds", "1", "--first-seed", "5",
-                           "--out", str(out)]) == 0
-        record = json.loads(out.read_text())
+                           "--pairs", "3", "--seconds", "1", "--first-seed", "5"]) == 0
+        record = json.loads((tmp_path / "BENCH_b0.json").read_text())
         check_schema(record)
         assert (record["base"], record["change"], record["seeds"]) == ("b0", "c1", [5, 6, 7])
         # base first in pairs 0 and 2, the change first in pair 1
@@ -130,5 +129,7 @@ class TestAggregate:
 def test_committed_bench_files_have_the_schema(path):
     record = json.loads(path.read_text())
     check_schema(record)
+    # a record counts as evidence only at the benchmark's run length and 10 or more pairs
+    assert record["seconds"] == pairs.SPEC["run_seconds"] and record["pairs"] >= 10
     assert set(record["workloads"]) == set(pairs.WORKLOADS)
     assert path.name == f"BENCH_{record['base'][:len(path.stem) - len('BENCH_')]}.json"

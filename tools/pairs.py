@@ -13,12 +13,12 @@ tree and uncommitted edits are not measured.  Before the pairs, each side's
 tier-1 suite is timed once.  Every child process has a timeout, so the
 script leaves nothing running.
 
-The result goes to ``BENCH_<base short sha>.json`` at the repository root
-(or ``--out``).  For every end-to-end metric of BENCHMARK.json it holds each
-side's runs, median and quartiles, the pairs the change won and tied, the
-ratio of the medians, and whether the gain rule holds: the change wins at
-least 9 of every 10 pairs and the medians differ by more than the base's
-interquartile range.  It also records the machine, Python and NumPy.
+The result goes to ``BENCH_<base short sha>.json`` at the repository root.
+For every end-to-end metric of BENCHMARK.json it holds each side's runs,
+median and quartiles, the pairs the change won and tied, the ratio of the
+medians, and whether the gain rule holds: the change wins at least 9 of
+every 10 pairs and the medians differ by more than the base's interquartile
+range.  It also records the machine, Python and NumPy.
 """
 
 from __future__ import annotations
@@ -156,7 +156,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
     workloads = args.workloads.split(",")
     if not set(workloads) <= set(WORKLOADS) or args.pairs < 1 or args.seconds <= 0:
@@ -192,7 +191,7 @@ def main(argv=None) -> int:
                       f"adj_throughput base {tput['base']:.6g} change {tput['change']:.6g}",
                       file=sys.stderr)
             record["workloads"][workload] = aggregate(runs)
-    out = args.out or bench_path(git("rev-parse", "--short", revs["base"]))
+    out = bench_path(git("rev-parse", "--short", revs["base"]))
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
