@@ -33,7 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import _check
-from .codes import CssCode, _decode_rows, _message_keys, _syndrome_lookup, coset_key, decode
+from .codes import (CssCode, _decode_rows, _message_keys, _syndrome_lookup, coset_key, decode,
+                    gf2_mul)
 from .entropy import mutual_information
 from .qentropy import coherent_information, holevo_chi
 from .rng import bits, cut, rekey, stream
@@ -215,11 +216,11 @@ def _reconcile_blocks(code: CssCode, x_alice: np.ndarray, x_bob: np.ndarray,
 
     Returns (keys_a, keys_b, success, offsets), one row per block.
     """
-    v = msgs @ code.c1.generator.T % 2
+    v = gf2_mul(msgs, code.c1.generator.T)
     offsets = x_alice ^ v
     v_hat, decoded = _decode_rows(code.c1, x_bob ^ offsets, code.t)
     pivot_rows, inv = code._key_machinery[:2]   # v_hat is in C1: decoded, or zero
-    keys_b = _message_keys(code, v_hat[:, pivot_rows] @ inv.T % 2)
+    keys_b = _message_keys(code, gf2_mul(v_hat[:, pivot_rows], inv.T))
     success = decoded & np.all(v_hat == v, axis=1)
     return _message_keys(code, msgs), keys_b, success, offsets
 
@@ -269,8 +270,8 @@ def _run_trials(cfg: ProtocolConfig, ch: ChannelModel, seeds: list) -> list[Prot
     sift_mask = alice_bases == bob_bases
     enough = sift_mask.sum(axis=1) >= 2 * n
     chosen = np.zeros((len(seeds), 2, n), np.intp)   # check, keep; zero where sifting aborts
-    for i in np.flatnonzero(enough):
-        sifted = np.flatnonzero(sift_mask[i])   # shuffled with permutation(sifted.size)'s swaps
+    for i in enough.nonzero()[0]:
+        sifted = sift_mask[i].nonzero()[0]   # shuffled with permutation(sifted.size)'s swaps
         rekey(gen, seeds[i], "selection").shuffle(sifted)
         chosen[i].flat = sifted[:2 * n]
     chosen.sort(axis=2)

@@ -79,7 +79,8 @@ def in_sphere(center, s, radius: int) -> bool:
 # GF(2) linear algebra
 
 def gf2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.astype(np.uint8) @ b.astype(np.uint8)) % 2
+    """a @ b over GF(2) as uint8: a float32 BLAS product, exact below 2^24 terms, then parity."""
+    return np.matmul(a, b, dtype=np.float32).astype(np.int32).astype(np.uint8) & 1
 
 
 def gf2_rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -247,9 +248,7 @@ def syndrome_table(code: LinearCode, t: int) -> dict[bytes, np.ndarray]:
         for positions in combinations(range(code.n), w):
             e = np.zeros(code.n, dtype=np.uint8)
             e[list(positions)] = 1
-            s = gf2_mul(code.parity_check, e).tobytes()
-            if s not in table:
-                table[s] = e
+            table.setdefault(gf2_mul(code.parity_check, e).tobytes(), e)
     return table
 
 
@@ -265,7 +264,7 @@ def _syndrome_lookup(code: LinearCode, t: int) -> tuple[np.ndarray, np.ndarray, 
             raise ValueError(f"syndrome lookup needs n - k <= 64, got {h.shape[0]} checks")
         weights = np.uint64(1) << np.arange(h.shape[0] - 1, -1, -1, dtype=np.uint64)
         patterns = np.array(list(syndrome_table(code, t).values()), dtype=np.uint8)
-        keys = (patterns @ h.T % 2).astype(np.uint64) @ weights
+        keys = gf2_mul(patterns, h.T).astype(np.uint64) @ weights
         order = np.argsort(keys)
         lookup = code._syndrome_tables[t] = (keys[order], patterns[order], weights)
     return lookup
@@ -278,7 +277,7 @@ def _decode_rows(code: LinearCode, words: np.ndarray, t: int) -> tuple[np.ndarra
     <= t comes back as the zero codeword with found False.
     """
     keys, patterns, weights = _syndrome_lookup(code, t)
-    s = (words @ code.parity_check.T % 2).astype(np.uint64) @ weights
+    s = gf2_mul(words, code.parity_check.T).astype(np.uint64) @ weights
     pos = np.minimum(np.searchsorted(keys, s), keys.size - 1)
     found = keys[pos] == s
     return np.where(found[:, None], words ^ patterns[pos], 0), found
@@ -397,7 +396,7 @@ class CssCode:
         rref of C2's message image G1^-1 G2 with its pivot and free columns."""
         rows = self.c1._echelon[1]
         inv = gf2_inv(self.c1.generator[rows])
-        red, pivots = gf2_rref(self.c2.generator[rows].T @ inv.T % 2)
+        red, pivots = gf2_rref(gf2_mul(self.c2.generator[rows].T, inv.T))
         return rows, inv, red, pivots, np.setdiff1d(np.arange(self.c1.k), pivots)
 
     def __repr__(self) -> str:
@@ -425,7 +424,7 @@ def canonical_coset_rep(code: LinearCode, word) -> np.ndarray:
     (one product, as each rref row of G^T is zero at every other pivot)."""
     w = _sized_bits(word, code.n)
     basis, pivots = code._echelon
-    return w ^ (w[pivots] @ basis % 2)
+    return w ^ gf2_mul(w[pivots], basis)
 
 
 def _message_keys(code: CssCode, m: np.ndarray) -> np.ndarray:
@@ -435,14 +434,14 @@ def _message_keys(code: CssCode, m: np.ndarray) -> np.ndarray:
     single product because each row is zero at every other pivot column.
     """
     _, _, red, pivots, free = code._key_machinery
-    return (m[:, free] + m[:, pivots] @ red[:, free]) % 2
+    return m[:, free] ^ gf2_mul(m[:, pivots], red[:, free])
 
 
 def _coset_keys(code: CssCode, words: np.ndarray) -> np.ndarray:
     """coset_key of each row of a (B, n) uint8 stack of C1 codewords."""
     pivot_rows, inv = code._key_machinery[:2]
-    m = words[:, pivot_rows] @ inv.T % 2
-    if np.any(m @ code.c1.generator.T % 2 != words):
+    m = gf2_mul(words[:, pivot_rows], inv.T)
+    if np.any(gf2_mul(m, code.c1.generator.T) != words):
         raise ValueError("word is not a codeword of C1")
     return _message_keys(code, m)
 

@@ -190,7 +190,7 @@ _scalars_json = json.JSONEncoder(separators=("\0", ":")).encode
 _QUOTE = np.array([(ord('"') - 48) % 256], np.uint8)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)   # a run writes one qubit count
 def _index_cells(size: int) -> np.ndarray:
     """Row i is the separator a JSON index list puts before i (a comma, a newline
     and six spaces), then str(i), in ASCII and NUL-padded to one width W.

@@ -1,16 +1,23 @@
 """Deterministic named random streams.
 
 Every stochastic component draws from a counter-based Philox generator keyed
-by hashing a master seed with a purpose label, so independent streams
-("alice-bits", "bob-bases", ...) replay bit-exactly whatever the draw order.
-No stream draws OS entropy.  A Philox stream is just its key, so a loop over
-many streams re-keys one generator (``rekey``), and ``bits`` reads fair bits
-straight off its raw words; both make the same draws as a fresh ``stream``.
-Raw words serve bounded draws on a power-of-two range too: a BB84 trial seed,
-``integers(0, 2**62)`` of its stream, is the stream's first raw word shifted
-right by 2, since Lemire's method never rejects on such a range.  A uniform
-``random()`` is ``(word >> 11) * 2**-53``, so comparing it with a probability p
-is comparing ``word >> 11`` with the integer ``cut(p)``.
+by hashing a master seed with a purpose label, so independent streams replay
+bit-exactly whatever the draw order.  No stream draws OS entropy.  A Philox
+stream is just its key, so a loop over many streams re-keys one generator
+(``rekey``) and reads its raw words; both make the same draws as a fresh
+``stream``.  The BB84 labels, and the raw-word function behind each:
+
+- ``trial`` (tag ``trial:i`` for trial i, under the master seed): the trial's
+  seed, ``integers(0, 2**62)``, is the first raw word shifted right by 2, as
+  Lemire's method never rejects on a power-of-two range;
+- ``alice-bits``, ``alice-bases``, ``bob-bases``, ``eve-bases``,
+  ``codewords``: fair bits, ``bits``;
+- ``eve-mask``, ``eve-measure``, ``bob-measure``: a uniform ``random()`` is
+  ``(word >> 11) * 2**-53``, so it is below a probability p exactly when
+  ``word >> 11 < cut(p)``: Eve intercepts below ``cut(rate)`` (no draw at a
+  rate of 0 or 1), and a measurement reads 1 from ``cut(p0)`` up;
+- ``selection``: ``Generator.shuffle`` of the sifted positions, NumPy's
+  algorithm over the raw words.
 """
 
 from __future__ import annotations
@@ -18,8 +25,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
+import threading
 
 import numpy as np
+
+_KEY_WORDS = struct.Struct("<2Q")
+_ZEROS = (0, 0, 0, 0)
+_fresh = threading.local()   # each thread's Philox state for rekey, whose key it sets
 
 
 @functools.cache
@@ -47,9 +59,9 @@ def _key_type() -> type:
 
 def _key(master_seed: int, *labels: str) -> tuple[int, int]:
     """The Philox key of a stream: the first 16 bytes of sha256("seed|label:label"),
-    read as two native-order 64-bit words."""
-    tag = ":".join(map(str, labels))
-    return struct.unpack_from("=2Q", hashlib.sha256(f"{master_seed}|{tag}".encode()).digest())
+    read as two little-endian 64-bit words.  One str label is its own tag."""
+    tag = labels[0] if len(labels) == 1 and type(labels[0]) is str else ":".join(map(str, labels))
+    return _KEY_WORDS.unpack_from(hashlib.sha256(f"{master_seed}|{tag}".encode()).digest())
 
 
 def stream(master_seed: int, *labels: str) -> np.random.Generator:
@@ -58,15 +70,16 @@ def stream(master_seed: int, *labels: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_key_type()(_key(master_seed, *labels))))
 
 
-_ZEROS = (0, 0, 0, 0)
-
-
 def rekey(gen: np.random.Generator, master_seed: int, *labels: str) -> np.random.Generator:
     """Set a Philox ``gen`` to the fresh state of ``stream(master_seed, *labels)``; return it.
     A Philox stream is its key: counter, buffer and spare 32-bit word restart at zero."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": _key(master_seed, *labels)},
-        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    try:
+        state = _fresh.state
+    except AttributeError:   # the thread's first rekey
+        state = _fresh.state = {"bit_generator": "Philox", "state": {"counter": _ZEROS},
+                                "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state["state"]["key"] = _key(master_seed, *labels)
+    gen.bit_generator.state = state
     return gen
 
 

@@ -760,6 +760,18 @@ class TestTranscriptWriter:
         assert written([t]) == reference_text([t])
         assert written([t, t]) == reference_text([t, t])
 
+    def test_one_index_table_stays_cached(self):
+        # a run writes one qubit count, so a second count's table replaces the first
+        small, large = run_bb84(config(n=64), ChannelModel("ideal")), run_bb84(
+            config(n=140), ChannelModel("ideal"))
+        assert len(small.alice_bits) != len(large.alice_bits)
+        formats._index_cells.cache_clear()
+        assert written([small]) == reference_text([small])
+        assert written([large]) == reference_text([large])
+        assert formats._index_cells.cache_info().currsize == 1
+        formats._index_cells(len(large.alice_bits))
+        assert formats._index_cells.cache_info().hits == 1   # the table kept is the last one
+
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_numpy_integer_seed_exports_like_the_python_int(self, case):
         ch = oracle_channel(case)

@@ -148,6 +148,27 @@ class TestGf2:
             assert np.array_equal(sol, msg)
         assert gf2_solve(g, bits("1000000")) is None
 
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64])
+    def test_mul_equals_the_int64_product_mod_2(self, rng, dtype):
+        # column j of wide sums j ones against a row of 300: a float-to-uint8 cast that
+        # saturates at 255 turns every even sum from 256 up odd
+        wide = (np.arange(300)[:, None] < np.arange(250, 301)).astype(np.uint8)
+        cases = [
+            (rng.integers(0, 2, (7, 4)), rng.integers(0, 2, 4)),   # encode: G m
+            (rng.integers(0, 2, (3, 7)), rng.integers(0, 2, 7)),   # syndrome: H y
+            (rng.integers(0, 2, 7), rng.integers(0, 2, (7, 3))),
+            (np.zeros((0, 4)), rng.integers(0, 2, (4, 7))),   # a chunk where no trial reconciles
+            (rng.integers(0, 2, (0, 3)), rng.integers(0, 2, (3, 0))),
+            (rng.integers(0, 2, (257, 6)), rng.integers(0, 2, (6, 7)).T.T),
+            (np.ones((2, 300)), wide),
+            (rng.integers(0, 2, (5, 300)), wide),
+        ]
+        for a, b in cases:
+            a, b = a.astype(dtype), b.astype(dtype)
+            got, want = gf2_mul(a, b), (a.astype(np.int64) @ b.astype(np.int64)) % 2
+            assert got.dtype == np.uint8 and got.shape == want.shape
+            assert np.array_equal(got, want), (a.shape, b.shape)
+
 
 class TestLinearCode:
     def test_hamming_parameters(self):

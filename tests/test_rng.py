@@ -7,6 +7,8 @@ import itertools
 import os
 import subprocess
 import sys
+import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +187,80 @@ class TestLabelTags:
                   | {(f"hsw-restart-{r}",) for r in range(2000)})
         assert len({":".join(parts) for parts in labels}) == len(labels)
         assert len({rng._key(1, *parts) for parts in labels}) == len(labels)
+
+
+class TestRekeyThreads:
+    def test_threads_rekeying_their_own_generators_draw_their_streams(self):
+        # a state shared between threads would let one thread's key reach another's
+        # generator; a short switch interval makes the threads interleave mid-call
+        pairs = list(itertools.product(SEEDS, LABELS))
+        want = {(repr(seed), labels): int(stream(seed, *labels).bit_generator.random_raw())
+                for seed, labels in pairs}
+        bad = []
+
+        def work(order):
+            gen = stream(0)
+            for _ in range(20):
+                for seed, labels in order:
+                    word = int(rekey(gen, seed, *labels).bit_generator.random_raw())
+                    if word != want[repr(seed), labels]:
+                        bad.append((seed, labels))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(order,))
+                       for order in (pairs, pairs[::-1], pairs[1::2] + pairs[::2])]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not bad
+
+
+    def test_another_threads_rekey_mid_call_leaves_this_key(self):
+        # the setter lets a second thread re-key its own generator after this call
+        # built its state and before Philox reads it
+        other = stream(0)
+
+        class HandOff:
+            def __init__(self):
+                self.philox = stream(0).bit_generator
+
+            @property
+            def state(self):
+                return self.philox.state
+
+            @state.setter
+            def state(self, value):
+                thread = threading.Thread(target=rekey, args=(other, 2, "bob-bases"))
+                thread.start()
+                thread.join()
+                self.philox.state = value
+
+        gen = types.SimpleNamespace(bit_generator=HandOff())
+        assert rekey(gen, 1, "alice-bits") is gen
+        np.testing.assert_equal(gen.bit_generator.state,
+                                stream(1, "alice-bits").bit_generator.state)
+        np.testing.assert_equal(other.bit_generator.state,
+                                stream(2, "bob-bases").bit_generator.state)
+
+class TestLabelJoin:
+    @pytest.mark.parametrize("labels,tag", [
+        (("trial", 5), "trial:5"), (("trial", "5"), "trial:5"), ((5,), "5"),
+        ((np.int64(-3),), "-3"), (("a", "b", "c"), "a:b:c"), ((), ""), (("",), "")])
+    def test_several_or_non_str_labels_hash_the_joined_tag(self, labels, tag):
+        gen = stream(0)
+        for seed in SEEDS:
+            digest = hashlib.sha256(f"{seed}|{tag}".encode()).digest()
+            # two little-endian words on any machine
+            words = (int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:16], "little"))
+            assert rng._key(seed, *labels) == rng._key(seed, tag) == words
+            want = stream(seed, tag).bit_generator.random_raw(3).tolist()
+            assert stream(seed, *labels).bit_generator.random_raw(3).tolist() == want
+            assert rekey(gen, seed, *labels).bit_generator.random_raw(3).tolist() == want
 
 
 class TestKeyRequests:
