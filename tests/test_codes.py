@@ -159,7 +159,7 @@ class TestGf2:
             (rng.integers(0, 2, 7), rng.integers(0, 2, (7, 3))),
             (np.zeros((0, 4)), rng.integers(0, 2, (4, 7))),   # a chunk where no trial reconciles
             (rng.integers(0, 2, (0, 3)), rng.integers(0, 2, (3, 0))),
-            (rng.integers(0, 2, (257, 6)), rng.integers(0, 2, (6, 7)).T.T),
+            (rng.integers(0, 2, (257, 6)), rng.integers(0, 2, (7, 6)).T),   # as h.T
             (np.ones((2, 300)), wide),
             (rng.integers(0, 2, (5, 300)), wide),
         ]

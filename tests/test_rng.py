@@ -191,8 +191,8 @@ class TestLabelTags:
 
 class TestRekeyThreads:
     def test_threads_rekeying_their_own_generators_draw_their_streams(self):
-        # a state shared between threads would let one thread's key reach another's
-        # generator; a short switch interval makes the threads interleave mid-call
+        # a state shared between threads could let one thread's key reach another's
+        # generator; a short switch interval interleaves the threads' calls
         pairs = list(itertools.product(SEEDS, LABELS))
         want = {(repr(seed), labels): int(stream(seed, *labels).bit_generator.random_raw())
                 for seed, labels in pairs}
@@ -218,7 +218,6 @@ class TestRekeyThreads:
         finally:
             sys.setswitchinterval(interval)
         assert not bad
-
 
     def test_another_threads_rekey_mid_call_leaves_this_key(self):
         # the setter lets a second thread re-key its own generator after this call
@@ -246,6 +245,7 @@ class TestRekeyThreads:
                                 stream(1, "alice-bits").bit_generator.state)
         np.testing.assert_equal(other.bit_generator.state,
                                 stream(2, "bob-bases").bit_generator.state)
+
 
 class TestLabelJoin:
     @pytest.mark.parametrize("labels,tag", [
