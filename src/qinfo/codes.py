@@ -236,20 +236,24 @@ def syndrome(code: LinearCode, received) -> np.ndarray:
     return gf2_mul(code.parity_check, _sized_bits(received, code.n))
 
 
-def syndrome_table(code: LinearCode, t: int) -> dict[bytes, np.ndarray]:
-    """Syndrome -> minimum-weight error pattern, for weights <= t.
+def _syndrome_rows(code: LinearCode, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct syndromes of the error patterns of weight <= t, ascending as
+    big-endian bit rows, and the first pattern of each: patterns run by weight,
+    then in position order, so the lowest-index pattern wins a tie."""
+    patterns = []
+    for w in range(min(t, code.n) + 1):
+        hot = np.array(list(combinations(range(code.n), w)), dtype=np.intp)
+        patterns.append(np.zeros((len(hot), code.n), dtype=np.uint8))
+        np.put_along_axis(patterns[-1], hot, 1, axis=1)
+    patterns = np.concatenate(patterns)
+    rows, first = np.unique(gf2_mul(patterns, code.parity_check.T), axis=0, return_index=True)
+    return rows, patterns[first]
 
-    Patterns are enumerated by increasing weight and, within a weight, by
-    position order, so the lowest-index pattern deterministically wins a tie.
-    """
+
+def syndrome_table(code: LinearCode, t: int) -> dict[bytes, np.ndarray]:
+    """Syndrome -> minimum-weight error pattern, for weights <= t, ties to the lowest index."""
     _check.integer(t, "t", 0)
-    table: dict[bytes, np.ndarray] = {}
-    for w in range(t + 1):
-        for positions in combinations(range(code.n), w):
-            e = np.zeros(code.n, dtype=np.uint8)
-            e[list(positions)] = 1
-            table.setdefault(gf2_mul(code.parity_check, e).tobytes(), e)
-    return table
+    return {row.tobytes(): e for row, e in zip(*_syndrome_rows(code, t))}
 
 
 def _syndrome_lookup(code: LinearCode, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -263,10 +267,8 @@ def _syndrome_lookup(code: LinearCode, t: int) -> tuple[np.ndarray, np.ndarray, 
         if h.shape[0] > 64:
             raise ValueError(f"syndrome lookup needs n - k <= 64, got {h.shape[0]} checks")
         weights = np.uint64(1) << np.arange(h.shape[0] - 1, -1, -1, dtype=np.uint64)
-        patterns = np.array(list(syndrome_table(code, t).values()), dtype=np.uint8)
-        keys = gf2_mul(patterns, h.T).astype(np.uint64) @ weights
-        order = np.argsort(keys)
-        lookup = code._syndrome_tables[t] = (keys[order], patterns[order], weights)
+        rows, patterns = _syndrome_rows(code, t)
+        lookup = code._syndrome_tables[t] = (rows.astype(np.uint64) @ weights, patterns, weights)
     return lookup
 
 
@@ -499,16 +501,12 @@ def apply_phase_flips(vec: np.ndarray, e, n: int) -> np.ndarray:
 def hadamard_all(vec: np.ndarray) -> np.ndarray:
     """Normalised Walsh-Hadamard transform (a Hadamard gate on every qubit)."""
     out = np.array(vec, dtype=complex)
-    size = out.size
     h = 1
-    while h < size:
-        for start in range(0, size, 2 * h):
-            a = out[start:start + h].copy()
-            b = out[start + h:start + 2 * h].copy()
-            out[start:start + h] = a + b
-            out[start + h:start + 2 * h] = a - b
+    while h < out.size:
+        a, b = out.reshape(-1, 2, h).swapaxes(0, 1)   # views of each block's two halves
+        a[:], b[:] = a + b, a - b
         h *= 2
-    return out / math.sqrt(size)
+    return out / math.sqrt(out.size)
 
 
 def _support_word(vec: np.ndarray, n: int) -> np.ndarray:

@@ -40,3 +40,20 @@ def holevo_chi(kraus, weights, vecs) -> "mp.mpf":
         mixture = sum((p * out for p, out in zip(probs[1:], outputs[1:])), probs[0] * outputs[0])
         return _entropy_bits(mixture) - mp.fsum(p * _entropy_bits(out)
                                                 for p, out in zip(probs, outputs))
+
+
+def von_neumann_entropy(mat) -> "mp.mpf":
+    """S(rho) in bits of a density matrix given as a complex array."""
+    with mp.workdps(DIGITS):
+        return _entropy_bits(mp.matrix(mat.tolist()))
+
+
+def relative_entropy(rho, sigma) -> "mp.mpf":
+    """S(rho || sigma) in bits, for a full-rank sigma: -S(rho) - tr(rho log2 sigma),
+    the second term summed over sigma's eigenvectors."""
+    with mp.workdps(DIGITS):
+        r = mp.matrix(rho.tolist())
+        w, v = mp.eighe(mp.matrix(sigma.tolist()))
+        cross = mp.fsum(mp.re((v.column(j).H * r * v.column(j))[0]) * mp.log(w[j], 2)
+                        for j in range(len(w)))
+        return -_entropy_bits(r) - cross

@@ -298,8 +298,8 @@ class TestDecode:
 
     def test_decode_builds_its_table_once_per_radius(self, monkeypatch):
         built = []
-        monkeypatch.setattr(codes, "syndrome_table",
-                            lambda c, t: built.append(t) or syndrome_table(c, t))
+        build = codes._syndrome_rows
+        monkeypatch.setattr(codes, "_syndrome_rows", lambda c, t: built.append(t) or build(c, t))
         c = hamming_7_4()
         for word in ("1000000", "0000001", "1000000"):
             assert decode(c, word, 1)[0].sum() == 0
@@ -318,8 +318,8 @@ class TestDecode:
 
     def test_stacked_decode_builds_its_table_once(self, monkeypatch):
         built = []
-        monkeypatch.setattr(codes, "syndrome_table",
-                            lambda c, t: built.append(t) or syndrome_table(c, t))
+        build = codes._syndrome_rows
+        monkeypatch.setattr(codes, "_syndrome_rows", lambda c, t: built.append(t) or build(c, t))
         for decode_first in (False, True):
             built.clear()
             s = steane_css()
@@ -617,8 +617,8 @@ class TestCssCorrection:
 
     def test_each_table_is_built_once_across_calls(self, monkeypatch):
         built = []
-        monkeypatch.setattr(codes, "syndrome_table",
-                            lambda c, t: built.append(c) or syndrome_table(c, t))
+        build = codes._syndrome_rows
+        monkeypatch.setattr(codes, "_syndrome_rows", lambda c, t: built.append(c) or build(c, t))
         s = steane_css()
         x, e = s.c1.codewords()[9], bits("0010000")
         for _ in range(2):

@@ -23,7 +23,7 @@ def keyed(master_seed, *labels) -> np.random.Generator:
     """The stream as np.random.Philox(key=...) builds it, with its unused SeedSequence."""
     tag = ":".join(str(part) for part in labels)
     digest = hashlib.sha256(f"{master_seed}|{tag}".encode()).digest()
-    return np.random.Generator(np.random.Philox(key=np.frombuffer(digest[:16], dtype=np.uint64)))
+    return np.random.Generator(np.random.Philox(key=np.frombuffer(digest[:16], dtype="<u8")))
 
 
 SEEDS = ([0, 1, -1, 42, 2 ** 62 - 1, -(2 ** 63), 2 ** 80, 20240811]
@@ -86,7 +86,7 @@ class TestRekeyMatchesStream:
 
 
 class TestKeyWords:
-    def test_key_is_two_python_ints_read_as_native_uint64(self):
+    def test_key_is_two_python_ints_read_as_little_endian_uint64(self):
         high = 0
         for seed, labels in itertools.product(SEEDS, LABELS):
             words = rng._key(seed, *labels)
